@@ -114,7 +114,7 @@ def load_baseline(path: Path, scale: str):
         )
     if data.get("platform") != platform.platform():
         return None, "baseline was recorded on a different platform"
-    core = "native" if native_available() else "array"
+    core = "native" if native_available() else "reference"
     key = f"{core}_seconds"
     per_rate = {}
     for row in data.get("timing", ()):
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_metrics.json")
     args = parser.parse_args(argv)
 
-    core = "native" if native_available() else "array"
+    core = "native" if native_available() else "reference"
     params = sim_params(args.scale, seed=11)
     spec = workload_spec(params)
     graph, routing, traffic = build_experiment(spec)

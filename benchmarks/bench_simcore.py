@@ -1,24 +1,14 @@
 """Simulator-core micro-benchmark: old vs new serial wall-clock.
 
-Times the pre-PR object-based simulator (the ``reference`` core —
-bit-identical results and performance to the original hot loop) against
-the struct-of-arrays core that :class:`repro.network.Simulator` now
-selects by default (``native`` when a C compiler is available, else the
-pure-Python ``array`` core) on the Fig. 10(c) local-uniform workload,
-one run per offered load from low load to past saturation.
+Times the object-based ``reference`` core against the core that
+:class:`repro.network.Simulator` selects by default (``native`` when a
+C compiler is available, else the reference core itself) on the
+Fig. 10(c) local-uniform workload, one run per offered load from low
+load to past saturation.
 
-It also emits the cross-core equivalence report:
-
-* **pinned**: with a pinned injection schedule all cores must produce
-  *identical* results (this is the hard gate — exit code 1 on any
-  mismatch);
-* **rng shift**: run free, the new cores sample the injection process
-  as vectorized geometric inter-arrival batches instead of per-cycle
-  Bernoulli masks.  The process law is unchanged but the numpy stream
-  is consumed differently, so per-seed numbers shift; the report runs
-  both cores over several seeds and checks that mean latency (below
-  saturation), accepted throughput, and the saturation point stay
-  within seed noise.
+It also emits the cross-core equivalence report, a hard gate (exit
+code 1 on any mismatch): with a pinned injection schedule, and run
+free over several seeds, both cores must produce *identical* results.
 
 Since the batched-kernel PR the headline metric is **fleet
 points-per-second**: the engine sweep (``run_experiments``) timed
@@ -47,7 +37,6 @@ import json
 import math
 import os
 import platform
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -114,7 +103,7 @@ def timing_section(scale: str, new_core: str):
     rows = []
     for label, rate in RATE_POINTS.items():
         row = {"label": label, "rate": rate}
-        for core in ("reference", "array", new_core):
+        for core in ("reference", new_core):
             dt, res = timed_run(graph, routing, traffic, params, rate, core)
             row[f"{core}_seconds"] = round(dt, 3)
             row.setdefault("accepted", {})[core] = round(
@@ -127,7 +116,6 @@ def timing_section(scale: str, new_core: str):
         print(
             f"  {label:4s} rate={rate:4.1f}: "
             f"old={row['reference_seconds']:7.2f}s "
-            f"array={row['array_seconds']:7.2f}s "
             f"new({new_core})={row[f'{new_core}_seconds']:7.2f}s "
             f"-> {row['speedup']:.1f}x"
         )
@@ -235,7 +223,7 @@ def batched_equivalence() -> bool:
 
 
 def pinned_equivalence(new_core: str) -> bool:
-    """All cores identical under a pinned injection schedule."""
+    """Both cores identical under a pinned injection schedule."""
     params = sim_params("quick", seed=17)
     spec = fig10_local_uniform_spec(params)
     graph, routing, traffic = build(spec)
@@ -245,106 +233,32 @@ def pinned_equivalence(new_core: str) -> bool:
             rate
         )
         outs = {}
-        for core in ("reference", "array", new_core):
+        for core in ("reference", new_core):
             sim = Simulator(graph, routing, traffic, params, core=core)
             outs[core] = sim.run(rate, schedule=schedule).to_dict()
-        same = all(o == outs["reference"] for o in outs.values())
+        same = outs["reference"] == outs[new_core]
         print(f"  pinned rate={rate}: identical={same}")
         ok &= same
     return ok
 
 
-def rng_shift_report(seeds, new_core: str):
-    """Free-running old vs new curves across seeds."""
-    # one extra deep-saturation point so the saturation-rate
-    # comparison actually brackets the knee (~1.1 flits/cycle/chip)
-    rates = sorted(RATE_POINTS.values()) + [1.6]
-    curves = {"reference": {}, new_core: {}}  # core -> rate -> per-seed
-    for core in curves:
-        for seed in seeds:
-            params = sim_params("default", seed=seed)
-            spec = fig10_local_uniform_spec(params)
-            graph, routing, traffic = build(spec)
-            for rate in rates:
-                _, res = timed_run(
-                    graph, routing, traffic, params, rate, core
-                )
-                curves[core].setdefault(rate, []).append(res)
-
-    def sat_rate(core):
-        """First rate whose mean accepted load falls below 90% of the
-        mean effective offered load."""
-        for rate in rates:
-            res = curves[core][rate]
-            acc = statistics.fmean(r.accepted_rate for r in res)
-            off = statistics.fmean(r.effective_offered for r in res)
-            if acc < 0.9 * off:
-                return rate
-        return None
-
-    report = {"seeds": list(seeds), "rates": rates, "points": []}
-    clean = True
-    for rate in rates:
-        old = curves["reference"][rate]
-        new = curves[new_core][rate]
-        entry = {"rate": rate}
-        for name, res in (("old", old), ("new", new)):
-            lats = [r.avg_latency for r in res]
-            accs = [r.accepted_rate for r in res]
-            entry[f"{name}_latency"] = [round(x, 2) for x in lats]
-            entry[f"{name}_accepted"] = [round(x, 4) for x in accs]
-        # accepted throughput must agree within seed noise everywhere
-        o = [r.accepted_rate for r in old]
-        n = [r.accepted_rate for r in new]
-        sigma = max(
-            statistics.pstdev(o), statistics.pstdev(n), 1e-9
-        )
-        shift = abs(statistics.fmean(o) - statistics.fmean(n))
-        acc_ok = shift <= max(3 * sigma, 0.02 * statistics.fmean(o))
-        entry["accepted_within_noise"] = acc_ok
-        # mean latency compared only while both cores still deliver
-        # essentially all offered load — approaching saturation the
-        # mean is dominated by unbounded queueing noise
-        delivering = all(
-            statistics.fmean(r.accepted_rate for r in res)
-            >= 0.98 * statistics.fmean(r.effective_offered for r in res)
-            for res in (old, new)
-        )
-        if delivering:
-            ol = [r.avg_latency for r in old]
-            nl = [r.avg_latency for r in new]
-            if all(map(math.isfinite, ol + nl)):
-                sigma = max(
-                    statistics.pstdev(ol), statistics.pstdev(nl), 1e-9
-                )
-                shift = abs(
-                    statistics.fmean(ol) - statistics.fmean(nl)
-                )
-                lat_ok = shift <= max(
-                    3 * sigma, 0.05 * statistics.fmean(ol)
-                )
-                entry["latency_within_noise"] = lat_ok
-                clean &= lat_ok
-        clean &= acc_ok
-        report["points"].append(entry)
-
-    report["old_saturation_rate"] = sat_rate("reference")
-    report["new_saturation_rate"] = sat_rate(new_core)
-    sat_ok = report["old_saturation_rate"] == report["new_saturation_rate"]
-    report["saturation_agrees"] = sat_ok
-    clean &= sat_ok
-    report["clean"] = clean
-    for e in report["points"]:
-        print(
-            f"  rng-shift rate={e['rate']:4.1f}: "
-            f"accepted_ok={e['accepted_within_noise']} "
-            f"latency_ok={e.get('latency_within_noise', 'n/a (sat)')}"
-        )
-    print(
-        f"  saturation: old={report['old_saturation_rate']} "
-        f"new={report['new_saturation_rate']} agree={sat_ok}"
-    )
-    return report
+def unpinned_equivalence(seeds, new_core: str) -> bool:
+    """Both cores identical run free: they sample the same injection
+    schedule from the same seeded numpy stream."""
+    ok = True
+    for seed in seeds:
+        params = sim_params("quick", seed=seed)
+        graph, routing, traffic = build(fig10_local_uniform_spec(params))
+        same = True
+        for rate in RATE_POINTS.values():
+            outs = [
+                timed_run(graph, routing, traffic, params, rate, core)[1]
+                for core in ("reference", new_core)
+            ]
+            same &= outs[0].to_dict() == outs[1].to_dict()
+        print(f"  unpinned seed={seed}: identical={same}")
+        ok &= same
+    return ok
 
 
 def main(argv=None) -> int:
@@ -360,7 +274,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
 
-    new_core = "native" if native_available() else "array"
+    new_core = "native" if native_available() else "reference"
     print(
         f"new core: {new_core} (native available: {native_available()})"
     )
@@ -375,8 +289,8 @@ def main(argv=None) -> int:
     pinned_ok = pinned_equivalence(new_core)
     print("batched-sweep equivalence:")
     batched_ok = batched_equivalence()
-    print(f"rng-shift curves over seeds {seeds}:")
-    shift = rng_shift_report(seeds, new_core)
+    print(f"unpinned equivalence over seeds {seeds}:")
+    unpinned_ok = unpinned_equivalence(seeds, new_core)
 
     mid = next(r for r in timing if r["label"] == "mid")
     payload = {
@@ -385,7 +299,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "old_core": "reference (pre-PR object-based simulator)",
+        "old_core": "reference (object-based simulator)",
         "new_core": new_core,
         "native_available": native_available(),
         "timing": timing,
@@ -397,7 +311,7 @@ def main(argv=None) -> int:
         "equivalence": {
             "pinned_identical": pinned_ok,
             "batched_identical": batched_ok and fleet["identical"],
-            "rng_shift": shift,
+            "unpinned_identical": unpinned_ok,
         },
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -407,7 +321,7 @@ def main(argv=None) -> int:
         f"({fleet['batched_speedup']}x batched), "
         f"pinned identical: {pinned_ok}, batched identical: "
         f"{batched_ok and fleet['identical']}, "
-        f"rng-shift clean: {shift['clean']}"
+        f"unpinned identical: {unpinned_ok}"
     )
     if mid["speedup"] < 2.0:
         print("WARNING: mid-load speedup below the 2x target")
@@ -415,7 +329,7 @@ def main(argv=None) -> int:
         print("WARNING: fleet batched speedup below the 2x target")
     return (
         0
-        if pinned_ok and batched_ok and fleet["identical"] and shift["clean"]
+        if pinned_ok and batched_ok and fleet["identical"] and unpinned_ok
         else 1
     )
 

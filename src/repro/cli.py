@@ -29,9 +29,6 @@ Service mode (see the "Simulation service" README section)::
     repro-dragonfly cancel j000001
     repro-dragonfly cache stats --cache-dir ~/.cache/repro
     repro-dragonfly shutdown
-
-``sweep`` remains as a deprecated alias of ``compare`` with a single
-architecture (it now honours ``--preset``).
 """
 
 from __future__ import annotations
@@ -144,7 +141,7 @@ def _parse_workload_opts(text):
 
 
 def _run_study(study, args) -> int:
-    """Shared run/report/export path of ``run``, ``compare``, ``sweep``."""
+    """Shared run/report/export path of ``run`` and ``compare``."""
     metrics = getattr(args, "metrics", None)
     if metrics:
         names = [m.strip() for m in metrics.split(",") if m.strip()]
@@ -278,16 +275,6 @@ def _cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _run_study(Study.wrap(scenario), args)
-
-
-def _cmd_sweep(args) -> int:
-    print(
-        "note: 'sweep' is deprecated; use "
-        "'repro-dragonfly compare --arch <arch>' (same flags, multiple "
-        "architectures) instead",
-        file=sys.stderr,
-    )
-    return _cmd_compare(args)
 
 
 def _cmd_report(args) -> int:
@@ -1036,14 +1023,6 @@ def main(argv=None) -> int:
         "format",
     )
 
-    sweep = sub.add_parser(
-        "sweep", help="(deprecated) single-architecture compare"
-    )
-    sweep.add_argument("--arch", choices=("switchless", "dragonfly"),
-                       default="switchless")
-    _add_workload_args(sweep)
-    _add_exec_args(sweep)
-
     verify = sub.add_parser("verify", help="deadlock-freedom check")
     verify.add_argument("--policy", choices=("baseline", "reduced"),
                         default="baseline")
@@ -1247,7 +1226,6 @@ def main(argv=None) -> int:
         "metrics": _cmd_metrics,
         "workloads": _cmd_workloads,
         "resilience": _cmd_resilience,
-        "sweep": _cmd_sweep,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

@@ -113,11 +113,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: propagates.  Crash retries (dead worker) use the same budget.
 POINT_RETRIES_ENV = "REPRO_POINT_RETRIES"
 
-#: environment override for the engine's batched fast path: unset/auto
-#: batches whenever the native core is in play; ``0``/``off`` forces
-#: the per-point path.
-BATCH_ENV = "REPRO_SIM_BATCH"
-
 #: minimum lanes per batch dispatch.  Each chunk is one packed kernel
 #: call; points past a saturation cutoff inside the final chunk are
 #: speculative (cached but excluded from the sweep), exactly like the
@@ -278,15 +273,12 @@ def _batch_enabled(batch: Optional[bool]) -> bool:
 
     Explicit ``batch=`` wins; otherwise auto: batch when the native
     core would be the session's core (available and not overridden via
-    ``REPRO_SIM_CORE``) and ``REPRO_SIM_BATCH`` does not disable it.
-    The auto rule keeps non-native sessions on the per-point path,
-    whose process pool is what parallelises pure-Python cores.
+    ``REPRO_SIM_CORE``).  The auto rule keeps reference-core sessions
+    on the per-point path, whose process pool is what parallelises the
+    pure-Python core.
     """
     if batch is not None:
         return bool(batch)
-    env = (os.environ.get(BATCH_ENV) or "").strip().lower()
-    if env in ("0", "off", "no", "false"):
-        return False
     core = os.environ.get(CORE_ENV)
     if core and core not in ("native",):
         return False
@@ -339,7 +331,7 @@ def run_experiments(
     batch:
         ``True``/``False`` forces the batched fast path on/off;
         ``None`` (default) auto-enables it when the native core is the
-        session's core (see ``REPRO_SIM_BATCH``).  Batched results are
+        session's core.  Batched results are
         bit-identical to per-point results: each lane keeps its
         :func:`~repro.engine.spec.point_seed`-derived seed, cache
         entries are interchangeable between both paths, and saturation
@@ -383,8 +375,9 @@ def run_experiments(
             for ri in range(len(spec.rates))
             if ri not in have[si]
         )
-        # closed-loop specs can't ride the packed native kernel (the
-        # plan needs a per-cycle callback); they take the pooled path
+        # closed-loop specs run on the reference core (the plan needs a
+        # per-cycle callback the packed kernel lacks); they take the
+        # pooled path
         use_batch = (
             total_missing > 0
             and _batch_enabled(batch)

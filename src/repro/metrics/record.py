@@ -9,12 +9,12 @@ them after the run as one :class:`RunRecord`.  The probe layer then
 distributions, completion time series and hop accounting are all pure
 functions of these arrays, so every probe is automatically
 
-* **bit-identical across cores** — given the same pinned injection
-  schedule, all three cores build the same packet table, hence the
-  same record, hence the same channels; and
+* **bit-identical across cores** — given the same injection schedule,
+  both cores build the same packet table, hence the same record,
+  hence the same channels; and
 * **zero-cost when disabled** — the compiled native kernel and the
-  array core's per-cycle loop contain no probe callbacks at all, just
-  a few per-*packet* (not per-cycle) branches behind a flag.
+  reference core's per-cycle loop contain no probe callbacks at all,
+  just a few per-*packet* (not per-cycle) branches behind a flag.
 
 Event replay: :meth:`RunRecord.events` re-emits the run as a canonical
 packet-major event stream (inject, per-hop, eject) for generic
@@ -89,7 +89,7 @@ class RunRecord:
     per point, so in practice: one run).
     """
 
-    #: producing core ("array", "native", "reference").
+    #: producing core ("native" or "reference").
     core: str
     #: offered rate of the run (flits/cycle/chip).
     rate: float

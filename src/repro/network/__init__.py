@@ -11,7 +11,6 @@ from .packet import Hop, Packet
 from .params import SimParams
 from .refcore import ReferenceCore
 from .schedule import InjectionSchedule, build_injection_schedule
-from .simcore import ArrayCore
 from .simulator import CORE_ENV, Simulator, run_batch, run_simulation
 from .stats import SIMRESULT_SCHEMA, SimResult
 from .sweep import (
@@ -32,7 +31,6 @@ __all__ = [
     "run_simulation",
     "CORE_ENV",
     "THREADS_ENV",
-    "ArrayCore",
     "NativeBatch",
     "NativeCore",
     "native_available",

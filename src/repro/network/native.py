@@ -1,27 +1,32 @@
-"""Compiled kernel for the struct-of-arrays simulator core.
+"""Compiled simulation core: the production data plane.
 
-The pure-Python :class:`~repro.network.simcore.ArrayCore` already lays
-every piece of hot state out as flat integer arrays — which makes the
-inner loop mechanically portable to C.  This module compiles
-``_simcore.c`` on demand (plain ``cc -O2 -shared -fPIC``; no Python
-headers, no build-system dependency), loads it via :mod:`ctypes`, and
-wraps it as :class:`NativeCore`.
+This module compiles ``_simcore.c`` on demand (plain ``cc -O3 -shared
+-fPIC``; no Python headers, no build-system dependency), loads it via
+:mod:`ctypes`, and wraps it as :class:`NativeCore`.  The kernel lays
+every piece of hot state out as flat int64 arrays — packet tables,
+flattened routes, packed flits ``(pid << 22) | (flit_idx << 11) | hop``,
+integer VC ownership, timing wheels — so a core instance can run()
+repeatedly and Python can inspect the buffers between runs.
 
 The enabling observation is that the stdlib RNG stream is consumed
 *only* by destination and route choice, in injection-schedule order —
 so the whole packet table (destinations, flattened routes, creation
 cycles) can be resolved in Python before the hot loop starts, and the
 C kernel runs the entire warmup+measure+drain window without a single
-callback.  Given the same schedule the kernel replicates the Python
-cores' cycle semantics exactly, so ``NativeCore`` produces
-**bit-identical** :class:`~repro.network.stats.SimResult`\\ s to
-``ArrayCore`` (asserted by ``tests/network/test_core_equivalence.py``).
+callback.  Given the same schedule the kernel replicates the cycle
+semantics of :class:`~repro.network.refcore.ReferenceCore` exactly,
+and both cores sample an un-pinned run's schedule the same way, so
+``NativeCore`` produces **bit-identical**
+:class:`~repro.network.stats.SimResult`\\ s to the reference core
+(asserted by ``tests/network/test_core_equivalence.py``).  Closed-loop
+plans need per-cycle feedback the kernel does not have; they run on
+the reference core.
 
 When no C compiler is available the loader returns ``None`` and
-:class:`~repro.network.simulator.Simulator` silently falls back to the
-pure-Python array core; nothing in the public API changes.  Set
-``REPRO_SIM_CORE=array`` (or ``native``/``reference``) to pin a core,
-and ``REPRO_NATIVE_CACHE`` to relocate the compiled-object cache.
+:class:`~repro.network.simulator.Simulator` falls back to the
+reference core; nothing in the public API changes.  Set
+``REPRO_SIM_CORE=native`` (or ``reference``) to pin a core, and
+``REPRO_NATIVE_CACHE`` to relocate the compiled-object cache.
 """
 
 from __future__ import annotations
@@ -29,16 +34,17 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import random
 import shutil
 import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .simcore import ArrayCore
+from ..metrics.record import RunRecord, failed_links_of
 from .schedule import InjectionSchedule, build_injection_schedule
 from .stats import SimResult
 from .vecrandom import VecRandom
@@ -70,6 +76,13 @@ def resolve_threads(lanes: int, threads: Optional[int] = None) -> int:
         else:
             threads = os.cpu_count() or 1
     return max(1, min(int(threads), max(1, lanes)))
+
+# Flit word layout, shared with ``_simcore.c``:
+# (pid << _PID_SHIFT) | (flit_idx << _HOP_BITS) | hop.
+_HOP_BITS = 11
+_PID_SHIFT = 22
+_FIDX_MASK = (1 << (_PID_SHIFT - _HOP_BITS)) - 1
+_MAX_HOPS = (1 << _HOP_BITS) - 1  # longest representable route
 
 _i64p = ctypes.POINTER(ctypes.c_int64)
 _u8p = ctypes.POINTER(ctypes.c_uint8)
@@ -302,12 +315,15 @@ class _LaneCtx:
     )
 
 
-class NativeCore(ArrayCore):
-    """Array core whose hot loop runs in the compiled kernel.
+class NativeCore:
+    """Simulation core whose hot loop runs in the compiled kernel.
 
     Construction, route resolution, scheduling and measurement stay in
-    Python (inherited from :class:`ArrayCore`); only the per-cycle loop
-    is delegated.  Results are bit-identical to the pure-Python core.
+    Python; only the per-cycle loop is delegated.  Routes are flattened
+    into one shared trio of int lists (``_route_lv``/``_route_link``/
+    ``_route_delay``) that a packet references as an ``(offset, hops)``
+    slice; deterministic routings share one slice per (src, dst) pair
+    via a core-level memo.
 
     Probing (see :mod:`repro.metrics`) needs no kernel callbacks: the
     kernel already reports every delivered measured packet's latency,
@@ -317,20 +333,97 @@ class NativeCore(ArrayCore):
     Raises :class:`RuntimeError` when the kernel cannot be compiled —
     callers that want a fallback should check :func:`native_available`
     first (as :class:`~repro.network.simulator.Simulator` does).
+
+    Measurement state accumulates across ``run()`` calls and the cycle
+    clock keeps counting, so leftover in-flight state from a truncated
+    drain stays consistent.  The engine builds a fresh instance per
+    simulated point.
     """
 
+    #: name reported in :class:`~repro.metrics.RunRecord.core`.
     core_id = "native"
 
     def __init__(self, graph, routing, traffic, params) -> None:
-        super().__init__(graph, routing, traffic, params)
+        self.graph = graph
+        self.routing = routing
+        self.traffic = traffic
+        self.params = params
+
+        if params.packet_length > _FIDX_MASK:
+            raise ValueError(
+                f"packet_length {params.packet_length} exceeds the native "
+                f"core's flit-index field ({_FIDX_MASK}); use "
+                "core='reference'"
+            )
         lib = load_native()
         if lib is None:
             raise RuntimeError(
                 "native simulation core unavailable "
                 "(no C compiler or compilation failed); "
-                "use core='array' instead"
+                "use core='reference' instead"
             )
         self._lib = lib
+
+        num_vcs = routing.num_vcs
+        self.num_vcs = num_vcs
+        links = graph.links
+        self._hop_delay = [l.latency + params.router_latency for l in links]
+        self._cap = [l.capacity for l in links]
+        credit_delay = [max(1, l.latency) for l in links]
+        self._wheel_size = 1 + max(
+            max(self._hop_delay, default=1), max(credit_delay, default=1)
+        )
+        self._num_lv = len(links) * num_vcs
+
+        self._np_rng = np.random.default_rng(params.seed)
+        self._py_rng = random.Random(params.seed ^ 0x5EED)
+
+        self._route_flat = getattr(routing, "route_flat", None)
+        self._deterministic = bool(
+            getattr(routing, "is_deterministic", False)
+        )
+        self._slice_memo_max = getattr(routing, "route_memo_max", 1 << 19)
+        #: (src, dst) -> (offset, hops) into the shared route arrays.
+        self._slice_memo: Dict = {}
+        # Shared flattened route arrays: per hop, the (link*V + vc)
+        # index, the link id (arbitration key) and the in-flight delay.
+        self._route_lv: List[int] = []
+        self._route_link: List[int] = []
+        self._route_delay: List[int] = []
+
+        self._active_nodes = list(traffic.active_nodes())
+        self._active_chips = traffic.num_active_chips()
+        chips = graph.chips()
+        self._nodes_per_chip = {
+            nid: len(chips[graph.nodes[nid].chip]) for nid in self._active_nodes
+        }
+
+        # Per-packet state, indexed by packet id.
+        self._p_off: List[int] = []
+        self._p_hops: List[int] = []
+        self._p_t0: List[int] = []
+        self._p_meas: List[int] = []
+        self._num_packets = 0
+
+        self._latencies: List[int] = []
+        self._hops: List[int] = []
+        # Probe bookkeeping (see repro.metrics), off by default.  When
+        # enabled (before the first run) the pre-pass keeps per-packet
+        # source/destination and the finish step keeps the delivered
+        # packet ids, aligned with ``_latencies``.
+        self._probe_mode = False
+        self._p_src: List[int] = []
+        self._p_dst: List[int] = []
+        self._eject_pid: List[int] = []
+        self._packets_measured = 0
+        self._flits_ejected_window = 0
+        self.total_flits_injected = 0
+        self.total_flits_ejected = 0
+        #: cycles simulated by previous run() calls.  The clock keeps
+        #: counting across runs so that leftover in-flight events stay
+        #: aligned with their wheel slots and leftover packets report
+        #: non-negative latencies.
+        self._clock = 0
 
         #: packet-table segments kept as numpy arrays by the vectorized
         #: pre-pass (non-probed cores only — ``run_record`` reads the
@@ -360,10 +453,16 @@ class NativeCore(ArrayCore):
         self._slot_cap = slot_cap
         W = self._wheel_size
 
+        # per-(link, vc) copies of the per-link constants
+        lv_link = np.arange(num_lv, dtype=np.int64) // self.num_vcs
+
+        def per_lv(values) -> np.ndarray:
+            return _as_i64(np.asarray(values, dtype=np.int64)[lv_link])
+
         self._n_cap = _as_i64(self._cap)
-        self._n_lv_dst = _as_i64(self._lv_dst)
-        self._n_cap_lv = _as_i64(self._cap_lv)
-        self._n_cdel_lv = _as_i64(self._credit_delay_lv)
+        self._n_lv_dst = per_lv([l.dst for l in links])
+        self._n_cap_lv = per_lv(self._cap)
+        self._n_cdel_lv = per_lv(credit_delay)
         self._n_credits = np.full(num_lv, B, dtype=np.int64)
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
         self._n_buf = _zeros(num_lv * B)
@@ -402,6 +501,139 @@ class NativeCore(ArrayCore):
         # length at conversion] — shared like the mirror, so a batch
         # only re-converts when new routes were appended.
         self._np_routes: list = [None, -1]
+
+    # ------------------------------------------------------------------
+    def enable_probes(self) -> None:
+        """Start recording the per-packet probe surface.
+
+        Must be called before the first ``run()`` — packets injected
+        earlier have no recorded source/destination, which would
+        misalign the arrays.
+        """
+        if self._clock:
+            raise RuntimeError(
+                "probes must be enabled before the first run()"
+            )
+        self._probe_mode = True
+
+    def run_record(self, rate: float) -> RunRecord:
+        """Bulk measurement record of this core's runs so far."""
+        if not self._probe_mode:
+            raise RuntimeError(
+                "probing was not enabled on this core; pass probes= to "
+                "Simulator (or call enable_probes() before run())"
+            )
+        npk = self._num_packets
+        p_done = [-1] * npk
+        p_t0 = self._p_t0
+        latencies = self._latencies
+        for i, pid in enumerate(self._eject_pid):
+            p_done[pid] = p_t0[pid] + latencies[i]
+        p = self.params
+        graph = self.graph
+        measure_end = self._clock - p.drain_cycles
+        return RunRecord(
+            core=self.core_id,
+            rate=rate,
+            num_nodes=graph.num_nodes,
+            num_links=graph.num_links,
+            num_vcs=self.num_vcs,
+            packet_length=p.packet_length,
+            measure_start=measure_end - p.measure_cycles,
+            measure_end=measure_end,
+            measure_cycles=p.measure_cycles,
+            active_chips=self._active_chips,
+            p_src=list(self._p_src),
+            p_dst=list(self._p_dst),
+            p_t0=list(p_t0[:npk]),
+            p_meas=list(self._p_meas[:npk]),
+            p_done=p_done,
+            p_hops=list(self._p_hops[:npk]),
+            p_off=list(self._p_off[:npk]),
+            route_lv=self._route_lv,
+            node_chip={
+                nid: node.chip for nid, node in enumerate(graph.nodes)
+            },
+            link_ends=[(l.src, l.dst) for l in graph.links],
+            failed_links=failed_links_of(self.routing),
+        )
+
+    # ------------------------------------------------------------------
+    def injection_probs(self, rate: float) -> List[float]:
+        """Per-active-node packet-start probability per cycle."""
+        pkt_len = self.params.packet_length
+        return [
+            rate / (pkt_len * self._nodes_per_chip[nid])
+            for nid in self._active_nodes
+        ]
+
+    def make_schedule(self, rate: float) -> InjectionSchedule:
+        """Sample this run's injection schedule (consumes the numpy RNG)."""
+        probs = self._checked_probs(rate)
+        p = self.params
+        return build_injection_schedule(
+            self._active_nodes,
+            probs,
+            p.warmup_cycles + p.measure_cycles,
+            self._np_rng,
+        )
+
+    def _checked_probs(self, rate: float) -> List[float]:
+        if rate < 0:
+            raise ValueError("rate must be >= 0")
+        probs = self.injection_probs(rate)
+        if any(pr > 1.0 for pr in probs):
+            raise ValueError(
+                f"offered rate {rate} exceeds 1 packet/node/cycle; "
+                "increase packet_length or lower the rate"
+            )
+        return probs
+
+    def _route_slice(self, nid: int, dst: int):
+        """``(offset, hops)`` into the shared route arrays for a route
+        ``nid -> dst``, resolving (and memoising, for deterministic
+        routings) on demand.
+
+        Single point of truth for route resolution: the scalar and the
+        vectorized pre-pass both call it, so the stdlib RNG sees route
+        draws in the same order as the reference core's injection
+        phase — the invariant behind cross-core bit-identity.
+        """
+        sl = (
+            self._slice_memo.get((nid, dst))
+            if self._deterministic
+            else None
+        )
+        if sl is not None:
+            return sl
+        if self._route_flat is not None:
+            path, path_lv = self._route_flat(nid, dst, self._py_rng)
+        else:
+            path = tuple(self.routing.route(nid, dst, self._py_rng))
+            num_vcs = self.num_vcs
+            path_lv = tuple(l * num_vcs + v for l, v in path)
+        nhops = len(path_lv)
+        if nhops > _MAX_HOPS:
+            raise ValueError(
+                f"route with {nhops} hops exceeds the native core's hop "
+                f"field ({_MAX_HOPS}); use core='reference'"
+            )
+        route_lv = self._route_lv
+        off = len(route_lv)
+        route_lv.extend(path_lv)
+        route_link = self._route_link
+        route_delay = self._route_delay
+        hop_delay = self._hop_delay
+        for l, _v in path:
+            route_link.append(l)
+            route_delay.append(hop_delay[l])
+        sl = (off, nhops)
+        if (
+            self._deterministic
+            and len(self._slice_memo) < self._slice_memo_max
+        ):
+            self._slice_memo[(nid, dst)] = sl
+        return sl
 
     # ------------------------------------------------------------------
     def _adopt_route_plane(self, donor: "NativeCore") -> None:
@@ -573,7 +805,7 @@ class NativeCore(ArrayCore):
     def _resolve_packets(self, schedule: InjectionSchedule, t0, horizon):
         """Resolve every scheduled event into the packet table.
 
-        Consumes the stdlib RNG exactly as the Python cores' injection
+        Consumes the stdlib RNG exactly as the reference core's injection
         phase does (destination draw, then route draw for packets that
         are actually created), so results stay bit-identical.  Events
         at or past the injection window (``horizon`` run-local cycles)
@@ -873,16 +1105,8 @@ class NativeCore(ArrayCore):
         self,
         rate: float,
         schedule: Optional[InjectionSchedule] = None,
-        plan=None,
     ) -> SimResult:
         """Run the full warmup+measure+drain schedule at ``rate``."""
-        if plan is not None:
-            # The C kernel has no per-cycle callback surface for the
-            # closed-loop feedback, so decline and fall back to the
-            # array core's Python loop (same decline idiom as
-            # ``dest_batch = None``).  Results stay bit-identical to a
-            # plain ArrayCore run of the same plan.
-            return ArrayCore.run(self, rate, schedule=schedule, plan=plan)
         ctx = self._prepare(rate, schedule)
         st = self._build_state(ctx)
         err = self._lib.sim_run(ctypes.byref(st))

@@ -3,11 +3,14 @@
 This is the original, heap-object implementation of the cycle-accurate
 VC simulator: flits are small mutable lists, packets are
 :class:`~repro.network.packet.Packet` objects, VC ownership is object
-identity.  It is kept as the semantic reference for
-:mod:`repro.network.simcore` (the struct-of-arrays production core):
-given the same pinned :class:`~repro.network.schedule.InjectionSchedule`
-both cores must produce *identical* results, which the cross-core
-equivalence tests assert.
+identity.  It is the semantic reference for
+:class:`~repro.network.native.NativeCore` (the compiled production
+core): both cores sample an un-pinned run's
+:class:`~repro.network.schedule.InjectionSchedule` from the same numpy
+stream and simulate it identically, so their results are
+*bit-identical*, which the cross-core equivalence tests assert.  It is
+also the core that runs closed-loop plans and the fallback on hosts
+without a C compiler.
 
 The per-cycle model (see :mod:`repro.network.simulator` for the full
 description):
@@ -17,8 +20,9 @@ description):
 2. *Flit arrival* — flits that finished traversing a link (+ router
    pipeline) are appended to the downstream input buffer of their
    ``(link, VC)`` pair.
-3. *Injection* — packet starts come either from the legacy per-cycle
-   Bernoulli draw or from a prebuilt injection schedule.
+3. *Injection* — packet starts come from an injection schedule (pinned
+   by the caller, else sampled by :meth:`ReferenceCore.make_schedule`)
+   or, in closed-loop mode, from a plan's event arrays.
 4. *Arbitration* — head flits request outputs; each output link grants
    up to ``capacity`` flits per cycle, round-robin over requesting
    inputs, subject to downstream credits and wormhole VC ownership.
@@ -163,11 +167,21 @@ class ReferenceCore:
         ]
 
     def make_schedule(self, rate: float) -> InjectionSchedule:
-        """Sample an injection schedule (consumes the numpy RNG).
+        """Sample this run's injection schedule (consumes the numpy RNG).
 
-        Statistically identical to the per-cycle Bernoulli draw; used to
-        pin both cores to the same packet starts.
+        Same sampling as the native core's, so an un-pinned run on
+        either core starts the same packets.
         """
+        probs = self._checked_probs(rate)
+        p = self.params
+        return build_injection_schedule(
+            self._active_nodes,
+            probs,
+            p.warmup_cycles + p.measure_cycles,
+            self._np_rng,
+        )
+
+    def _checked_probs(self, rate: float) -> List[float]:
         if rate < 0:
             raise ValueError("rate must be >= 0")
         probs = self.injection_probs(rate)
@@ -176,13 +190,7 @@ class ReferenceCore:
                 f"offered rate {rate} exceeds 1 packet/node/cycle; "
                 "increase packet_length or lower the rate"
             )
-        p = self.params
-        return build_injection_schedule(
-            self._active_nodes,
-            probs,
-            p.warmup_cycles + p.measure_cycles,
-            self._np_rng,
-        )
+        return probs
 
     def _make_packet(
         self, t: int, src: int, measured: bool, dst: Optional[int] = None
@@ -302,9 +310,8 @@ class ReferenceCore:
         """Run the full warmup+measure+drain schedule at ``rate``.
 
         ``rate`` is offered load in flits/cycle/chip over the traffic
-        pattern's active chips.  When ``schedule`` is given, packet
-        starts come from it (in order) instead of per-cycle Bernoulli
-        draws — the mode the cross-core equivalence tests pin.
+        pattern's active chips.  Packet starts come from ``schedule``
+        (in order) when given, else from :meth:`make_schedule`.
         ``plan`` switches to closed-loop mode: events come from a
         :class:`~repro.workload.driver.PhasePlan` whose phase releases
         feed back from tail-flit ejections, and the loop ends when the
@@ -333,37 +340,27 @@ class ReferenceCore:
             ev_nodes = plan.ev_nodes
             ev_dests = plan.ev_dests
             n_ev = plan.begin(t0)
-            ev_ptr = 0
         else:
-            # Per-node Bernoulli probability of *starting a packet*
-            # this cycle.
-            active = self._active_nodes
-            probs = np.array(self.injection_probs(rate), dtype=np.float64)
-            if np.any(probs > 1.0):
-                raise ValueError(
-                    f"offered rate {rate} exceeds 1 packet/node/cycle; "
-                    "increase packet_length or lower the rate"
-                )
-            active_arr = np.array(active, dtype=np.int64)
+            probs = self._checked_probs(rate)
             # patterns with inactive nodes offer less than the nominal
             # rate
             effective_offered = (
-                float(probs.sum()) * pkt_len / self._active_chips
+                float(np.array(probs, dtype=np.float64).sum())
+                * pkt_len
+                / self._active_chips
                 if self._active_chips
                 else 0.0
             )
-
-            # Pinned-schedule injection state (None -> legacy Bernoulli).
-            if schedule is not None:
-                # schedule cycles are run-local; shift onto the clock
-                ev_cycles = (
-                    [c + t0 for c in schedule.cycles]
-                    if t0
-                    else schedule.cycles
-                )
-                ev_nodes = schedule.nodes
-                n_ev = len(ev_cycles)
-                ev_ptr = 0
+            if schedule is None:
+                schedule = self.make_schedule(rate)
+            # schedule cycles are run-local; shift onto the clock
+            ev_cycles = (
+                [c + t0 for c in schedule.cycles] if t0 else schedule.cycles
+            )
+            ev_nodes = schedule.nodes
+            ev_dests = None
+            n_ev = len(ev_cycles)
+        ev_ptr = 0
 
         wheel_size = self._wheel_size
         arrivals = self._arrivals
@@ -382,7 +379,6 @@ class ReferenceCore:
         credit_delay_lv = self._credit_delay_lv
         hop_delay = self._hop_delay
         cap = self._cap
-        np_rng = self._np_rng
         inj_w = p.injection_width
         ej_w = p.ejection_width
         finish_flit = self._finish_flit
@@ -414,41 +410,15 @@ class ReferenceCore:
 
             # --- 3. packet generation ----------------------------------
             if t < meas_end:
-                if plan is not None:
-                    starts = []
-                    while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
-                        nid = ev_nodes[ev_ptr]
-                        dst = ev_dests[ev_ptr]
-                        ev_ptr += 1
-                        # dst is pre-drawn and never None/self, so the
-                        # packet always materialises and pid stays equal
-                        # to the event index (the plan relies on that).
-                        pkt = self._make_packet(t, nid, in_window, dst=dst)
-                        if in_window:
-                            self._packets_measured += 1
-                        if not pkt.path:
-                            for fidx in range(pkt.size):
-                                self.total_flits_injected += 1
-                                finish_flit(pkt, fidx, t, in_window)
-                            continue
-                        srcq[nid].append([pkt, 0])
-                        if not hot_flag[nid]:
-                            hot_flag[nid] = 1
-                            hot_list.append(nid)
-                elif schedule is not None:
-                    starts = []
-                    while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
-                        starts.append(ev_nodes[ev_ptr])
-                        ev_ptr += 1
-                else:
-                    mask = np_rng.random(len(active_arr)) < probs
-                    starts = (
-                        [int(n) for n in active_arr[mask]]
-                        if mask.any()
-                        else []
-                    )
-                for nid in starts:
-                    pkt = self._make_packet(t, nid, in_window)
+                while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
+                    nid = ev_nodes[ev_ptr]
+                    # plan events carry pre-drawn destinations (never
+                    # None/self), so their packets always materialise
+                    # and pid stays equal to the event index (the plan
+                    # relies on that)
+                    dst = ev_dests[ev_ptr] if ev_dests is not None else None
+                    ev_ptr += 1
+                    pkt = self._make_packet(t, nid, in_window, dst=dst)
                     if pkt is None:
                         continue
                     if in_window:

@@ -11,10 +11,11 @@ event list sorted by cycle.  The simulator then just walks a pointer —
 idle cycles cost a single integer comparison, and cores can even jump
 over provably idle stretches.
 
-Both simulator cores accept a prebuilt :class:`InjectionSchedule`, which
-is what makes cross-core equivalence exact: with a *pinned* schedule the
-only remaining randomness (destination and route choice) is drawn from
-the same ``random.Random`` stream in the same order by both cores.
+Both simulator cores walk an :class:`InjectionSchedule` — pinned by the
+caller or sampled here from the core's seeded numpy stream — which is
+what makes cross-core equivalence exact: the only remaining randomness
+(destination and route choice) is drawn from the same ``random.Random``
+stream in the same order by both cores.
 
 Determinism note: the schedule sampler consumes the numpy RNG stream
 differently from the retired per-cycle mask (one geometric batch per

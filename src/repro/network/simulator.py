@@ -38,26 +38,22 @@ appear in routes because :class:`repro.faults.FaultAwareRouting` routes
 around them; the simulator arrays keep the healthy graph's link ids, so
 degraded and healthy runs share the same core machinery.
 
-:class:`Simulator` is a thin facade over three interchangeable cores:
+:class:`Simulator` is a thin facade over two cores:
 
 * :class:`~repro.network.native.NativeCore` (default when a C compiler
-  is present) — the struct-of-arrays core with its hot loop compiled
-  on demand from ``_simcore.c``; bit-identical results to the array
-  core.
-* :class:`~repro.network.simcore.ArrayCore` (portable default) — the
-  pure-Python struct-of-arrays core: packed-int flits, flat route
-  arrays, integer VC ownership, cached head-flit requests, and
-  idle-cycle fast-forwarding.
-* :class:`~repro.network.refcore.ReferenceCore` — the original
-  object-based implementation, kept as the semantic reference.
+  is present) — flat int64 state with its hot loop compiled on demand
+  from ``_simcore.c``; runs open-loop points, alone or packed into
+  batches (:func:`run_batch`).
+* :class:`~repro.network.refcore.ReferenceCore` (fallback on hosts
+  without a compiler) — the object-based implementation, kept as the
+  semantic reference.  It is also the only core that runs closed-loop
+  plans (:class:`~repro.workload.driver.PhasePlan`).
 
 Select explicitly with ``Simulator(..., core="reference")`` or globally
-via the ``REPRO_SIM_CORE`` environment variable.  Given the same pinned
-:class:`~repro.network.schedule.InjectionSchedule` all cores produce
-identical results; run free, the array/native cores consume the numpy
-RNG stream differently from the reference core, so individual per-seed
-numbers differ while curves agree within seed noise
-(``benchmarks/bench_simcore.py`` quantifies both).
+via the ``REPRO_SIM_CORE`` environment variable.  Both cores sample an
+un-pinned run's injection schedule the same way and then simulate it
+identically, so results are bit-identical across cores whether or not
+the schedule is pinned (``tests/network/test_core_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +68,6 @@ from .native import NativeBatch, NativeCore, native_available
 from .params import SimParams
 from .refcore import ReferenceCore
 from .schedule import InjectionSchedule
-from .simcore import ArrayCore
 from .stats import SimResult
 
 __all__ = ["CORE_ENV", "Simulator", "run_batch", "run_simulation"]
@@ -81,17 +76,41 @@ __all__ = ["CORE_ENV", "Simulator", "run_batch", "run_simulation"]
 CORE_ENV = "REPRO_SIM_CORE"
 
 _CORES = {
-    "array": ArrayCore,
     "native": NativeCore,
     "reference": ReferenceCore,
     "ref": ReferenceCore,
 }
 
-_CORE_NAMES = {
-    ArrayCore: "array",
-    NativeCore: "native",
-    ReferenceCore: "reference",
-}
+
+def _resolve_core(core: Optional[str]) -> str:
+    """Canonical core name: ``core``, else ``REPRO_SIM_CORE``, else
+    native when the kernel compiles, else reference."""
+    if core is None:
+        core = os.environ.get(CORE_ENV) or None
+    if core is None:
+        core = "native" if native_available() else "reference"
+    try:
+        return _CORES[core].core_id
+    except KeyError:
+        raise ValueError(
+            f"unknown simulation core {core!r}; "
+            f"expected one of {sorted(_CORES)}"
+        ) from None
+
+
+def _build_probes(probes) -> List[Probe]:
+    """Probe instances from instances, kind names or (name, options)
+    pairs (the spec metrics axis uses pairs)."""
+    built: List[Probe] = []
+    for p in probes or ():
+        if isinstance(p, Probe):
+            built.append(p)
+        elif isinstance(p, str):
+            built.append(build_probe(p))
+        else:
+            name, opts = p
+            built.append(build_probe(name, **dict(opts)))
+    return built
 
 
 class Simulator:
@@ -110,9 +129,10 @@ class Simulator:
     params:
         Router/measurement knobs (Table IV defaults).
     core:
-        ``"native"``, ``"array"`` or ``"reference"``; ``None`` reads
-        the ``REPRO_SIM_CORE`` environment variable, then picks the
-        native core when it can be compiled, else the array core.
+        ``"native"`` or ``"reference"`` (alias ``"ref"``); ``None``
+        reads the ``REPRO_SIM_CORE`` environment variable, then picks
+        the native core when it can be compiled, else the reference
+        core.
     probes:
         Optional metric probes (see :mod:`repro.metrics`): a sequence
         of :class:`~repro.metrics.Probe` instances and/or registered
@@ -140,28 +160,9 @@ class Simulator:
         core: Optional[str] = None,
         probes: Optional[Sequence[Union[Probe, str]]] = None,
     ) -> None:
-        if core is None:
-            core = os.environ.get(CORE_ENV) or None
-        if core is None:
-            core = "native" if native_available() else "array"
-        try:
-            core_cls = _CORES[core]
-        except KeyError:
-            raise ValueError(
-                f"unknown simulation core {core!r}; "
-                f"expected one of {sorted(set(_CORES))}"
-            ) from None
-        self.core_name = _CORE_NAMES[core_cls]
-        self._core = core_cls(graph, routing, traffic, params)
-        self.probes: List[Probe] = []
-        for p in probes or ():
-            if isinstance(p, Probe):
-                self.probes.append(p)
-            elif isinstance(p, str):
-                self.probes.append(build_probe(p))
-            else:  # (name, options) pair, as the spec metrics axis uses
-                name, opts = p
-                self.probes.append(build_probe(name, **dict(opts)))
+        self.core_name = _resolve_core(core)
+        self._core = _CORES[self.core_name](graph, routing, traffic, params)
+        self.probes: List[Probe] = _build_probes(probes)
         #: the most recent run's :class:`~repro.metrics.RunRecord`
         #: (``None`` until a probed run happened).
         self.last_record: Optional[RunRecord] = None
@@ -213,12 +214,18 @@ class Simulator:
         the core samples its own.  ``plan`` switches to closed-loop
         mode (see :class:`~repro.workload.driver.PhasePlan`): injections
         follow the plan's phase releases and the run ends when the last
-        phase drains.
+        phase drains.  Only the reference core runs plans; a native
+        simulator raises :class:`ValueError` for one.
 
         With probes attached, each probe decodes the run's record into
         one channel on the returned result — strictly after the core
         finished, so the simulated numbers are unaffected.
         """
+        if plan is not None and self.core_name != "reference":
+            raise ValueError(
+                f"the {self.core_name} core cannot run closed-loop "
+                "plans; build the Simulator with core='reference'"
+            )
         if self.probes:
             if self._probed_runs:
                 raise RuntimeError(
@@ -228,7 +235,10 @@ class Simulator:
                     "Simulator per probed point"
                 )
             self._probed_runs = 1
-        result = self._core.run(rate, schedule=schedule, plan=plan)
+        if plan is None:
+            result = self._core.run(rate, schedule=schedule)
+        else:
+            result = self._core.run(rate, schedule=schedule, plan=plan)
         if self.probes:
             record = self._core.run_record(rate)
             self.last_record = record
@@ -293,7 +303,7 @@ def run_batch(
     / ``threads`` (see :func:`repro.network.native.resolve_threads`).
 
     ``core`` resolves exactly as in :class:`Simulator`; the packed
-    native batch runs when the native core is selected, every other
+    native batch runs when the native core is selected, the reference
     core falls back to an equivalent serial per-lane loop (same
     results, no amortisation).  ``probes`` build fresh per-lane probe
     instances; channels land on each lane's ``SimResult.channels``.
@@ -303,29 +313,8 @@ def run_batch(
         raise ValueError(
             f"{len(schedules)} schedules for {len(lanes)} lanes"
         )
-    if core is None:
-        core = os.environ.get(CORE_ENV) or None
-    if core is None:
-        core = "native" if native_available() else "array"
-    if core not in _CORES:
-        raise ValueError(
-            f"unknown simulation core {core!r}; "
-            f"expected one of {sorted(set(_CORES))}"
-        )
-
-    def lane_probes() -> List[Probe]:
-        built: List[Probe] = []
-        for p in probes or ():
-            if isinstance(p, Probe):
-                built.append(p)
-            elif isinstance(p, str):
-                built.append(build_probe(p))
-            else:
-                name, opts = p
-                built.append(build_probe(name, **dict(opts)))
-        return built
-
-    if core == "native" and native_available():
+    core = _resolve_core(core)
+    if core == "native":
         batch = NativeBatch(
             graph,
             routing,
@@ -344,7 +333,7 @@ def run_batch(
                 zip(results, batch.lanes)
             ):
                 _attach_probe_channels(
-                    lane_core, lanes[i][1], lane_probes(), res
+                    lane_core, lanes[i][1], _build_probes(probes), res
                 )
         return results
 
@@ -358,7 +347,7 @@ def run_batch(
             traffic,
             params.scaled(seed=int(seed)),
             core=core,
-            probes=lane_probes() if probes else None,
+            probes=_build_probes(probes) if probes else None,
         )
         results.append(
             sim.run(

@@ -300,33 +300,43 @@ class Execution:
                     }
                 )
 
-    def finish(self, result: StudyResult, cache_stats: Dict) -> None:
+    def _terminate(self, state: str, event: Dict, **fields) -> bool:
+        """One terminal transition, atomic under the condition.
+
+        ``fields`` (result, error, …), the root span's end, the journal
+        record and the terminal event all land *before* ``state`` is
+        published, so whoever sees a terminal state — a status poller,
+        the scheduler's dedupe check — also sees all of them.  Returns
+        false when the execution was already terminal.
+        """
         with self._cond:
             if self.state in TERMINAL_STATES:
-                return
-            self.state = "done"
-            self.result = result
-        self._end_trace("done")
-        self._notify("done")
-        self._emit(
+                return False
+            for name, value in fields.items():
+                setattr(self, name, value)
+            self._end_trace(state, fields.get("error"))
+            self._notify(state)
+            self._emit(event)
+            self.state = state
+        return True
+
+    def finish(self, result: StudyResult, cache_stats: Dict) -> None:
+        self._terminate(
+            "done",
             {
                 "event": "done",
                 "points_done": self.points_done,
                 "cache_hits": self.cache_hits,
                 "cache": cache_stats,
                 "result": result.to_dict(),
-            }
+            },
+            result=result,
         )
 
     def fail(self, error: str) -> None:
-        with self._cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = "error"
-            self.error = error
-        self._end_trace("error", error)
-        self._notify("error")
-        self._emit({"event": "error", "error": error})
+        self._terminate(
+            "error", {"event": "error", "error": error}, error=error
+        )
 
     def record_retry(
         self, attempt: int, max_attempts: int, delay: float, error: str
@@ -354,38 +364,33 @@ class Execution:
         job stops consuming retries, and ``status`` surfaces the last
         traceback for post-mortems.
         """
-        with self._cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = "failed"
-            self.error = error
-            self.traceback = traceback_text
-            self.attempts = attempts
-        _M_QUARANTINES.inc()
-        self._end_trace("failed", error)
-        self._notify("failed")
-        self._emit(
-            {
-                "event": "failed",
-                "error": error,
-                "traceback": traceback_text,
-                "attempts": attempts,
-                "points_done": self.points_done,
-            }
-        )
+        event = {
+            "event": "failed",
+            "error": error,
+            "traceback": traceback_text,
+            "attempts": attempts,
+            "points_done": self.points_done,
+        }
+        if self._terminate(
+            "failed",
+            event,
+            error=error,
+            traceback=traceback_text,
+            attempts=attempts,
+        ):
+            _M_QUARANTINES.inc()
 
     def mark_cancelled(self) -> None:
-        with self._cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = "cancelled"
-        self._end_trace("cancelled")
-        self._notify("cancelled")
-        self._emit({"event": "cancelled", "points_done": self.points_done})
+        self._terminate(
+            "cancelled",
+            {"event": "cancelled", "points_done": self.points_done},
+        )
 
     @property
     def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
+        # under the condition: waits out an in-flight terminal transition
+        with self._cond:
+            return self.state in TERMINAL_STATES
 
     # -- subscriber side -----------------------------------------------
     def wait_events(
@@ -565,6 +570,11 @@ class Scheduler:
                     "flight; wait for one to finish or cancel it"
                 )
             execution = self._executions.get(key)
+            if execution is not None and execution.terminal:
+                # published terminal but not yet retired by
+                # finish_execution(): never attach to a dead run
+                del self._executions[key]
+                execution = None
             attached = execution is not None
             if execution is None:
                 execution = Execution(key, request, study)

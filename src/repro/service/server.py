@@ -34,6 +34,7 @@ default and trusts its tenants, like a local build daemon.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import traceback
@@ -79,6 +80,10 @@ _M_HTTP_SECONDS = REGISTRY.histogram(
     "http_request_seconds",
     "HTTP request latency (excludes event-stream tail time)",
     ("method", "route"),
+)
+_M_HTTP_DISCONNECTS = REGISTRY.counter(
+    "http_client_disconnects_total",
+    "Requests abandoned by a client that closed its connection",
 )
 _M_QUEUE_DEPTH = REGISTRY.gauge(
     "service_queue_depth", "Executions waiting in the scheduler queue"
@@ -848,6 +853,14 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     def initiate_shutdown(self) -> None:
         self.service.shutdown(wait=True)
         self.shutdown()
+
+    def handle_error(self, request, client_address) -> None:
+        # a client hanging up mid-request is routine: count it instead
+        # of printing the default traceback; anything else is a bug
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            _M_HTTP_DISCONNECTS.inc()
+            return
+        super().handle_error(request, client_address)
 
 
 def create_server(

@@ -1,22 +1,24 @@
-"""Closed-loop phase scheduler driving the simulator cores.
+"""Closed-loop phase scheduler driving the reference simulator core.
 
 Open-loop runs pre-sample every packet start into an
 :class:`~repro.network.schedule.InjectionSchedule`.  Closed-loop runs
 instead carry a :class:`PhasePlan`: the plan owns the event arrays the
-cores walk, watches per-phase completion counts through a
+core walks, watches per-phase completion counts through a
 ``packet_done`` callback at the tail-flit ejection sites, and releases
 a phase's injections only once every upstream phase has drained (plus
 the phase's ``compute`` delay) — the dependency-driven behaviour of
 real training traffic.
 
-Mechanics, shared by :class:`~repro.network.simcore.ArrayCore` and
-:class:`~repro.network.refcore.ReferenceCore` so their closed-loop runs
-stay bit-identical:
+Closed-loop runs execute on
+:class:`~repro.network.refcore.ReferenceCore`, whatever core the
+session selects: the C kernel has no per-cycle callback surface for
+the feedback.  The plan's mechanics keep the run deterministic and
+portable to any core that honours them:
 
 * every phase's event *template* (per-node packet offsets and
   chip-counterpart destinations) is computed at plan construction, so
-  no traffic RNG is consumed at runtime — the cores' stdlib RNG streams
-  only see route draws, in the same order;
+  no traffic RNG is consumed at runtime — the core's stdlib RNG stream
+  only sees route draws;
 * packet ids equal event-consumption order (the plan never drops an
   event at injection time), so ``ev_phase[pid]`` maps a delivered
   packet back to its phase;
@@ -26,10 +28,6 @@ stay bit-identical:
 * dependents are released at ``t_done + 1``, so a core that matches
   events with strict cycle equality (the reference core) never misses
   a release materialised at the end of cycle ``t_done``.
-
-The native core declines closed-loop runs and falls back to the array
-core's Python loop — mirroring the ``dest_batch = None`` decline idiom
-— because the C kernel has no per-cycle callback surface.
 
 Faults: when the traffic is a
 :class:`~repro.faults.traffic.FaultMaskedTraffic`, events whose source
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..network.params import SimParams
 from .ir import Workload
@@ -84,7 +82,7 @@ def participating_chips(traffic):
 class PhasePlan:
     """Runtime state of one closed-loop run (see module docstring).
 
-    The cores treat the plan as the owner of the injection event
+    The core treats the plan as the owner of the injection event
     arrays: ``begin(t0)`` materialises the DAG's root phases and
     returns the initial event count, ``packet_done(pid, t)`` is called
     at every tail-flit ejection, ``flush(ip)`` (end of cycle, when
@@ -183,7 +181,7 @@ class PhasePlan:
         #: set when completions queued releases a flush must materialise.
         self.dirty = False
 
-        #: event arrays the cores walk (the plan appends, never drops).
+        #: event arrays the core walks (the plan appends, never drops).
         self.ev_cycles: List[int] = []
         self.ev_nodes: List[int] = []
         self.ev_dests: List[int] = []
@@ -336,14 +334,12 @@ def run_closed_loop(
     routing,
     traffic,
     rate: float,
-    *,
-    core: Optional[str] = None,
 ):
     """Closed-loop twin of the executor's open-loop point simulation.
 
     Builds the spec's workload over the traffic's participating chips,
-    plans the phases, and runs one simulator at ``rate`` (the pacing
-    bandwidth, flits/cycle/chip) under the plan.  The run window is
+    plans the phases, and runs one reference-core simulator at ``rate``
+    (the pacing bandwidth, flits/cycle/chip) under the plan.  The run window is
     ``[0, horizon)`` with no warmup/drain; the core breaks out as soon
     as the last phase drains, and the result's ``measure_cycles`` is
     the measured makespan — so ``accepted_rate`` reports the achieved
@@ -370,7 +366,7 @@ def run_closed_loop(
         routing,
         traffic,
         params,
-        core=core,
+        core="reference",
         probes=build_metrics(spec),
     )
     result = sim.run(rate, plan=plan)

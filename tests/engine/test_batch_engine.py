@@ -164,30 +164,24 @@ class TestWorkerThreadBudget:
 
 class TestBatchEnable:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ex.BATCH_ENV, "off")
+        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
         assert ex._batch_enabled(True) is True
-        monkeypatch.delenv(ex.BATCH_ENV)
+        monkeypatch.delenv("REPRO_SIM_CORE")
         assert ex._batch_enabled(False) is False
 
-    def test_env_disables_auto(self, monkeypatch):
-        monkeypatch.setenv(ex.BATCH_ENV, "0")
-        assert ex._batch_enabled(None) is False
-
     def test_non_native_core_disables_auto(self, monkeypatch):
-        monkeypatch.delenv(ex.BATCH_ENV, raising=False)
-        monkeypatch.setenv("REPRO_SIM_CORE", "array")
+        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
         assert ex._batch_enabled(None) is False
 
     @needs_native
     def test_auto_on_with_native(self, monkeypatch):
-        monkeypatch.delenv(ex.BATCH_ENV, raising=False)
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         assert ex._batch_enabled(None) is True
 
-    def test_forced_batch_works_on_array_core(self, monkeypatch):
+    def test_forced_batch_works_on_reference_core(self, monkeypatch):
         """batch=True on a non-native session uses the serial fallback
         of run_batch — same results, no packed kernel."""
-        monkeypatch.setenv("REPRO_SIM_CORE", "array")
+        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
         spec = mesh_spec([0.1, 0.2])
         sw_b = run_experiments([spec], batch=True, workers=1)[0]
         sw_p = run_experiments([spec], batch=False, workers=1)[0]

@@ -1,9 +1,10 @@
 """Fixed-seed degraded-run equivalence across the simulator cores.
 
 The fault wrappers (fault-aware routing, masked traffic) are shared
-Python objects consulted identically by the native, array and reference
-cores, so with a pinned injection schedule a degraded run must be
-bit-identical across all three — the degraded counterpart of
+Python objects consulted identically by the native and reference
+cores, so with a pinned injection schedule (or unpinned, since both
+cores sample the same schedule) a degraded run must be bit-identical
+across both — the degraded counterpart of
 ``tests/network/test_core_equivalence.py``.  CI runs this module in the
 ``resilience-smoke`` job.
 """
@@ -13,7 +14,7 @@ import pytest
 from repro.engine import ExperimentSpec, build_experiment
 from repro.network import SimParams, Simulator, native_available
 
-CORES = ["array", "reference"] + (
+CORES = ["reference"] + (
     ["native"] if native_available() else []
 )
 
@@ -79,7 +80,7 @@ def test_pinned_yield_model_identical_across_cores():
 @pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native core"
 )
-def test_unpinned_native_matches_array_on_degraded_run():
+def test_unpinned_native_matches_reference_on_degraded_run():
     spec = degraded_spec()
     graph, routing, traffic = build_experiment(spec)
     rate = spec.rates[0]
@@ -87,9 +88,9 @@ def test_unpinned_native_matches_array_on_degraded_run():
         core: Simulator(graph, routing, traffic, spec.params, core=core)
         .run(rate)
         .to_dict()
-        for core in ("native", "array")
+        for core in ("native", "reference")
     }
-    assert res["native"] == res["array"]
+    assert res["native"] == res["reference"]
 
 
 def test_degraded_run_differs_from_healthy():

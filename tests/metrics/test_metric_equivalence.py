@@ -1,6 +1,6 @@
 """Cross-core metric equivalence: probe channels agree bit-for-bit.
 
-With a pinned injection schedule all three cores build the same packet
+With a pinned injection schedule both cores build the same packet
 table, so the post-run probe decode must produce *identical* channels —
 on the smoke scenario's configurations and on a degraded (faulted)
 switchless system, whose repair routes exercise the probe layer's
@@ -17,7 +17,7 @@ from repro.network import SimParams, Simulator, native_available
 
 REPO = Path(__file__).resolve().parents[2]
 
-CORES = ["array", "reference"] + (
+CORES = ["reference"] + (
     ["native"] if native_available() else []
 )
 

@@ -267,7 +267,7 @@ class TestProbeGuards:
             params=PARAMS,
         )
         graph, routing, traffic = build_experiment(spec)
-        sim = Simulator(graph, routing, traffic, PARAMS, core="array")
+        sim = Simulator(graph, routing, traffic, PARAMS)
         sim.run(0.2)
         with pytest.raises(RuntimeError, match="before the first run"):
             sim._core.enable_probes()
@@ -281,7 +281,7 @@ class TestProbeGuards:
             params=PARAMS,
         )
         graph, routing, traffic = build_experiment(spec)
-        sim = Simulator(graph, routing, traffic, PARAMS, core="array")
+        sim = Simulator(graph, routing, traffic, PARAMS)
         sim.run(0.2)
         with pytest.raises(RuntimeError, match="not enabled"):
             sim._core.run_record(0.2)

@@ -4,7 +4,7 @@ The batch contract is absolute: N lanes packed into one
 ``sim_run_batch`` call produce results **bit-identical** to N serial
 per-lane runs, for any thread count, any lane count, healthy or
 degraded topologies, with or without probes.  These tests pin
-injection schedules so every core (reference, array, native) must
+injection schedules so every core (reference, native) must
 agree with the batched lanes exactly, and they drive the vectorized
 destination pre-pass through its decline paths (fault-masked traffic,
 non-power-of-two permutation scopes).
@@ -156,7 +156,7 @@ needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native core"
 )
 
-SERIAL_CORES = ["reference", "array", "native"]
+SERIAL_CORES = ["reference", "native"]
 
 
 def pinned_setup(spec, lanes):
@@ -223,7 +223,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, self.LANES,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, self.LANES, schedules, "array")
+        serial = serial_results(spec, self.LANES, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -239,7 +239,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, self.LANES,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, self.LANES, schedules, "array")
+        serial = serial_results(spec, self.LANES, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -254,7 +254,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, lanes,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, lanes, schedules, "array")
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -271,7 +271,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, lanes,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, lanes, schedules, "array")
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -285,7 +285,7 @@ class TestBatchBitIdentity:
             core="native", schedules=schedules, probes=probes,
         )
         serial = serial_results(
-            spec, lanes, schedules, "array", probes=list(probes)
+            spec, lanes, schedules, "reference", probes=list(probes)
         )
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
@@ -380,9 +380,9 @@ class TestRunBatchFacade:
         graph, routing, traffic, schedules = pinned_setup(spec, lanes)
         batched = run_batch(
             graph, routing, traffic, spec.params, lanes,
-            core="array", schedules=schedules,
+            core="reference", schedules=schedules,
         )
-        serial = serial_results(spec, lanes, schedules, "array")
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 

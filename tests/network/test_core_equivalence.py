@@ -1,4 +1,4 @@
-"""Cross-core equivalence: array, native and reference cores agree.
+"""Cross-core equivalence: native and reference cores agree.
 
 With a pinned :class:`~repro.network.schedule.InjectionSchedule` the
 only randomness left (destination and route choice) is drawn from the
@@ -6,10 +6,9 @@ same stdlib RNG stream in the same order by every core, so all
 ``SimResult`` fields must be *identical* — these tests pin the smoke
 scenario's configurations plus a wafer-scale switchless one.
 
-Unpinned, the array and native cores sample the same schedule from the
-same numpy stream, so they must also agree bit-for-bit with each other
-(the reference core consumes the numpy stream differently and is only
-statistically equivalent; ``benchmarks/bench_simcore.py`` covers that).
+Unpinned, both cores sample the same schedule from the same numpy
+stream, so they must also agree bit-for-bit: one run, repeated runs on
+one instance, and a truncated drain.
 """
 
 from pathlib import Path
@@ -22,7 +21,7 @@ from repro.network import SimParams, Simulator, native_available
 
 REPO = Path(__file__).resolve().parents[2]
 
-CORES = ["array", "reference"] + (
+CORES = ["reference"] + (
     ["native"] if native_available() else []
 )
 
@@ -138,9 +137,9 @@ class TestPinnedSchedule:
 @pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native core"
 )
-class TestNativeMatchesArray:
+class TestNativeMatchesReference:
     def test_unpinned_results_identical(self):
-        """Free-running native and array cores share the schedule
+        """Free-running native and reference cores share the schedule
         sampler and RNG streams, so they agree without pinning."""
         spec = switchless_spec()
         graph, routing, traffic = build_experiment(spec)
@@ -148,10 +147,10 @@ class TestNativeMatchesArray:
         res_n = Simulator(
             graph, routing, traffic, spec.params, core="native"
         ).run(rate)
-        res_a = Simulator(
-            graph, routing, traffic, spec.params, core="array"
+        res_r = Simulator(
+            graph, routing, traffic, spec.params, core="reference"
         ).run(rate)
-        assert res_n.to_dict() == res_a.to_dict()
+        assert res_n.to_dict() == res_r.to_dict()
 
     def test_repeated_runs_accumulate_identically(self):
         """run() twice on one instance (drain leftovers persist)."""
@@ -160,7 +159,7 @@ class TestNativeMatchesArray:
         graph, routing, traffic = build_experiment(spec)
         sims = [
             Simulator(graph, routing, traffic, spec.params, core=c)
-            for c in ("native", "array")
+            for c in ("native", "reference")
         ]
         for rate in (0.6, 0.3):
             res = [sim.run(rate) for sim in sims]
@@ -178,7 +177,7 @@ class TestNativeMatchesArray:
         graph, routing, traffic = build_experiment(spec)
         sims = [
             Simulator(graph, routing, traffic, params, core=c)
-            for c in ("native", "array")
+            for c in ("native", "reference")
         ]
         first = [sim.run(0.9) for sim in sims]
         assert first[0].to_dict() == first[1].to_dict()

@@ -92,6 +92,33 @@ class TestSchedulerDedupe:
         assert not attached
         assert job2.execution is not exe
 
+    @pytest.mark.parametrize("terminate", ["quarantine", "finish", "cancel"])
+    def test_terminal_execution_not_reattached_before_retirement(
+        self, terminate
+    ):
+        """The executor publishes a terminal state before its finally
+        block calls finish_execution(); a resubmission landing in that
+        gap must start fresh, not attach to the dead execution."""
+        sched = Scheduler()
+        sched.submit(_request())
+        exe = sched.next_execution(timeout=1)
+        exe.mark_running()
+        if terminate == "quarantine":
+            exe.quarantine("poison", None, attempts=2)
+        elif terminate == "finish":
+            exe.finish(result=_DummyResult(), cache_stats={})
+        else:
+            exe.mark_cancelled()
+        job2, attached = sched.submit(_request())
+        assert attached is False
+        assert job2.execution is not exe
+        assert sched.next_execution(timeout=1) is job2.execution
+        # the late retirement leaves the fresh execution registered
+        sched.finish_execution(exe)
+        job3, attached = sched.submit(_request())
+        assert attached is True
+        assert job3.execution is job2.execution
+
 
 class _DummyResult:
     def to_dict(self):
@@ -208,6 +235,23 @@ class TestExecutionEvents:
             "error": "boom",
         }
         assert job.state == "error"
+
+    def test_terminal_state_published_last(self):
+        """A poller that sees a terminal state must also see the
+        journal record and the terminal event: the transition writes
+        them while the state still reads non-terminal."""
+        sched = Scheduler()
+        sched.submit(_request())
+        exe = sched.next_execution(timeout=1)
+        exe.mark_running()
+        seen = []
+        exe.on_transition = lambda e, state: seen.append(
+            (state, e.state, e.events_snapshot()[-1]["event"])
+        )
+        exe.quarantine("poison", "Traceback ...", attempts=3)
+        assert seen == [("failed", "running", "start")]
+        assert exe.state == "failed"
+        assert exe.events_snapshot()[-1]["event"] == "failed"
 
     def test_wait_events_blocks_then_drains(self):
         sched = Scheduler()

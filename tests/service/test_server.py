@@ -1,10 +1,13 @@
 """HTTP surface of the simulation service (real sockets, tiny studies)."""
 
+import socket
+import struct
 import time
 
 import pytest
 
 from repro.engine.spec import ENGINE_VERSION
+from repro.obs import parse_prometheus
 from repro.service import JobRequest, ServiceError
 
 from .conftest import slow_study, tiny_study
@@ -83,6 +86,33 @@ class TestEndpoints:
         jobs = client.jobs()
         assert [j["id"] for j in jobs] == [job["id"]]
         assert jobs[0]["state"] == "done"
+
+    def test_client_disconnect_is_counted_not_printed(self, service, capfd):
+        """A client that resets its connection mid-request bumps
+        ``http_client_disconnects_total`` and leaves stderr silent."""
+        client, server = service
+
+        def disconnects():
+            parsed = parse_prometheus(client.metrics(fmt="prometheus"))
+            return sum(
+                parsed.get("http_client_disconnects_total", {}).values()
+            )
+
+        before = disconnects()
+        capfd.readouterr()
+        sock = socket.create_connection(server.server_address[:2])
+        sock.sendall(b"GET /api/hea")  # no line end: the handler waits
+        time.sleep(0.1)
+        # SO_LINGER 0: close() sends RST instead of a graceful FIN
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        deadline = time.time() + 5
+        while disconnects() == before and time.time() < deadline:
+            time.sleep(0.02)
+        assert disconnects() == before + 1
+        assert capfd.readouterr().err == ""
 
 
 class TestTenancy:

@@ -73,7 +73,9 @@ class TestWorkerPoolCrash:
         job still lands ``done`` under its original trace_id, the
         surviving worker-process spans carry their pids into the span
         log, and the crash counter moved."""
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
+        # a reference-core session takes the per-point process pool
+        # (auto-batching would run this one sweep in-process)
+        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
         crashes = REGISTRY.counter("engine_worker_crashes_total")
         before = crashes.value()
         arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")

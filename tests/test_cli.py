@@ -95,7 +95,8 @@ def test_run_misspelled_name_suggests(capsys):
 
 
 def test_sweep_misspelled_preset_suggests(capsys):
-    assert main(["sweep", "--preset", "small_equif", "--points", "1"]) == 2
+    assert main(["compare", "--arch", "switchless",
+                 "--preset", "small_equif", "--points", "1"]) == 2
     err = capsys.readouterr().err
     assert "did you mean" in err
     assert "small_equiv" in err
@@ -161,19 +162,26 @@ def test_compare_rejects_unknown_arch(capsys):
 
 def test_sweep_smoke(capsys):
     rc = main([
-        "sweep", "--arch", "switchless", "--scope", "local",
+        "compare", "--arch", "switchless", "--scope", "local",
         "--points", "2", "--max-rate", "0.4",
         "--warmup", "100", "--measure", "250",
     ])
     assert rc == 0
     captured = capsys.readouterr()
     assert "offered" in captured.out
-    assert "deprecated" in captured.err
+    assert "deprecated" not in captured.err
+
+
+def test_sweep_verb_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--arch", "switchless", "--points", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_sweep_preset_flag(capsys):
     rc = main([
-        "sweep", "--arch", "switchless", "--scope", "local",
+        "compare", "--arch", "switchless", "--scope", "local",
         "--preset", "radix8_equiv",
         "--points", "2", "--max-rate", "0.4",
         "--warmup", "100", "--measure", "250",
@@ -183,7 +191,8 @@ def test_sweep_preset_flag(capsys):
 
 
 def test_sweep_bad_preset(capsys):
-    assert main(["sweep", "--preset", "bogus", "--points", "1"]) == 2
+    assert main(["compare", "--arch", "switchless",
+                 "--preset", "bogus", "--points", "1"]) == 2
     assert "available" in capsys.readouterr().err
 
 

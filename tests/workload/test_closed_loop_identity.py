@@ -1,113 +1,43 @@
-"""Cross-core closed-loop identity: Array == Reference, bit for bit.
+"""Closed-loop results pinned by golden digests on the reference core.
 
-The PhasePlan precomputes every event template and destination, so the
-cores' RNG streams see route draws only, in the same order — closed-loop
-runs must match across cores exactly like open-loop runs do.  The native
-core declines plan mode and falls back to the array core's Python loop,
-so it matches trivially (asserted anyway).
+Closed-loop plans run on the reference core only: the native kernel has
+no per-cycle callback surface for phase releases.  Instead of a second
+core to agree with, every golden point's canonical
+``SimResult.to_dict()`` (channels included) must hash to the sha256
+recorded in ``closed_loop_golden.json``: each ``workload_smoke`` point,
+a healthy and a degraded switchless ring, and two mesh workloads that
+exercise compute delays and pipeline chains.
+
+Regenerate the fixture only for a change that is meant to alter
+closed-loop results::
+
+    PYTHONPATH=src python -m tests.workload.test_closed_loop_identity
 """
 
-import math
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.api.library import build_study, switchless_arch
 from repro.engine import ExperimentSpec, build_experiment
-from repro.engine.spec import build_metrics, point_seed
-from repro.network import SimParams
+from repro.network import SimParams, native_available
 from repro.network.simulator import Simulator
-from repro.workload import PhasePlan, workload_for_traffic
+from repro.workload import PhasePlan, run_closed_loop, workload_for_traffic
 
+GOLDEN = Path(__file__).with_name("closed_loop_golden.json")
 RATE = 0.5
 
 
-def closed_loop_result(spec, core):
-    graph, routing, traffic = build_experiment(spec)
-    workload = workload_for_traffic(
-        spec.workload, dict(spec.workload_opts), traffic
+def digest(result) -> str:
+    blob = json.dumps(
+        result.to_dict(), sort_keys=True, separators=(",", ":")
     )
-    seed = point_seed(spec, RATE)
-    plan = PhasePlan(
-        workload, traffic, params=spec.params, rate=RATE, seed=seed
-    )
-    params = spec.params.scaled(
-        seed=seed, warmup_cycles=0, measure_cycles=plan.horizon(),
-        drain_cycles=0,
-    )
-    sim = Simulator(
-        graph, routing, traffic, params, core=core,
-        probes=build_metrics(spec),
-    )
-    result = sim.run(RATE, plan=plan)
-    assert plan.finished
-    return result
-
-
-def assert_identical(a, b):
-    for f in (
-        "offered_rate", "effective_offered", "accepted_rate",
-        "avg_latency", "packets_measured", "packets_delivered",
-        "flits_ejected", "measure_cycles",
-    ):
-        va, vb = getattr(a, f), getattr(b, f)
-        if isinstance(va, float) and math.isnan(va):
-            assert math.isnan(vb), f
-        else:
-            assert va == vb, f
-    assert set(a.channels) == set(b.channels)
-    for name in a.channels:
-        assert a.channels[name].rows == b.channels[name].rows, name
-        sa, sb = a.channels[name].summary, b.channels[name].summary
-        assert set(sa) == set(sb), name
-        for key in sa:
-            if isinstance(sa[key], float) and math.isnan(sa[key]):
-                assert math.isnan(sb[key]), (name, key)
-            else:
-                assert sa[key] == sb[key], (name, key)
-
-
-def mesh_spec(**kw):
-    return ExperimentSpec.create(
-        topology="mesh", topology_opts={"dim": 4, "chiplet_dim": 2},
-        routing="xy_mesh", traffic="uniform",
-        params=SimParams(seed=11), rates=[RATE],
-        metrics=("cct", "bubble", "overlap"), **kw,
-    )
-
-
-WORKLOADS_UNDER_TEST = [
-    ("ring_allreduce", {"volume": 32}),
-    ("hierarchical_allreduce", {"volume": 32}),
-    ("all_to_all", {"volume": 32, "compute": 40}),
-    ("pipeline", {"volume": 16, "microbatches": 2}),
-]
-
-
-@pytest.mark.parametrize(
-    "name,opts", WORKLOADS_UNDER_TEST, ids=[w[0] for w in WORKLOADS_UNDER_TEST]
-)
-def test_array_reference_identical(name, opts):
-    spec = mesh_spec(workload=name, workload_opts=opts)
-    a = closed_loop_result(spec, "array")
-    r = closed_loop_result(spec, "reference")
-    assert_identical(a, r)
-
-
-def test_native_declines_to_array_loop():
-    pytest.importorskip("ctypes")
-    spec = mesh_spec(
-        workload="ring_allreduce", workload_opts={"volume": 32}
-    )
-    a = closed_loop_result(spec, "array")
-    try:
-        n = closed_loop_result(spec, "native")
-    except (RuntimeError, OSError) as exc:  # kernel unavailable here
-        pytest.skip(f"native core unavailable: {exc}")
-    assert_identical(a, n)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def switchless_spec(**kw):
-    from repro.api.library import switchless_arch
-
     return ExperimentSpec.create(
         traffic="uniform", traffic_opts={"scope": ("group", 0)},
         params=SimParams(seed=11), rates=[RATE],
@@ -120,17 +50,109 @@ def switchless_spec(**kw):
     )
 
 
-def test_degraded_fabric_identity_and_masking():
-    degraded = switchless_spec(
+def degraded_switchless_spec():
+    return switchless_spec(
         faults={"model": "random", "link_rate": 0.05, "die_rate": 0.15,
                 "seed": 7},
     )
-    a = closed_loop_result(degraded, "array")
-    r = closed_loop_result(degraded, "reference")
-    assert_identical(a, r)
-    cct = a.channels["cct"]
+
+
+def mesh_spec(workload, opts):
+    return ExperimentSpec.create(
+        topology="mesh", topology_opts={"dim": 4, "chiplet_dim": 2},
+        routing="xy_mesh", traffic="uniform",
+        params=SimParams(seed=11), rates=[RATE],
+        metrics=("cct", "bubble", "overlap"),
+        workload=workload, workload_opts=opts,
+    )
+
+
+def golden_points():
+    """``(name, spec, rate)`` for every point in the fixture."""
+    study = build_study("workload_smoke", scale="quick")
+    points = [
+        (f"smoke/{spec.label}@{rate:g}", spec, rate)
+        for scn in study.scenarios
+        for spec in scn.specs
+        for rate in spec.rates
+    ]
+    points += [
+        ("switchless_ring", switchless_spec(), RATE),
+        ("degraded_switchless_ring", degraded_switchless_spec(), RATE),
+        ("mesh_all_to_all",
+         mesh_spec("all_to_all", {"volume": 32, "compute": 40}), RATE),
+        ("mesh_pipeline",
+         mesh_spec("pipeline", {"volume": 16, "microbatches": 2}), RATE),
+    ]
+    return points
+
+
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def closed_loop(spec, rate):
+    graph, routing, traffic = build_experiment(spec)
+    return run_closed_loop(spec, graph, routing, traffic, rate)
+
+
+@pytest.mark.parametrize(
+    "name,spec,rate",
+    [pytest.param(*p, id=p[0]) for p in golden_points()],
+)
+def test_golden_digest(name, spec, rate):
+    assert digest(closed_loop(spec, rate)) == golden()[name]
+
+
+def test_golden_fixture_covers_every_point():
+    assert sorted(golden()) == sorted(p[0] for p in golden_points())
+
+
+def test_closed_loop_ignores_session_core(monkeypatch):
+    """run_closed_loop always builds the reference core, so a session
+    pinned to native gets the same answer."""
+    spec = golden_points()[0][1]
+    baseline = digest(closed_loop(spec, RATE))
+    monkeypatch.setenv("REPRO_SIM_CORE", "native")
+    assert digest(closed_loop(spec, RATE)) == baseline
+
+
+@pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native core"
+)
+def test_native_simulator_rejects_plans():
+    spec = mesh_spec("ring_allreduce", {"volume": 32})
+    graph, routing, traffic = build_experiment(spec)
+    workload = workload_for_traffic(
+        spec.workload, dict(spec.workload_opts), traffic
+    )
+    plan = PhasePlan(
+        workload, traffic, params=spec.params, rate=RATE, seed=1
+    )
+    sim = Simulator(graph, routing, traffic, spec.params, core="native")
+    with pytest.raises(ValueError, match="core='reference'"):
+        sim.run(RATE, plan=plan)
+
+
+def test_degraded_fabric_identity_and_masking():
+    degraded = closed_loop(degraded_switchless_spec(), RATE)
+    assert digest(degraded) == golden()["degraded_switchless_ring"]
+    cct = degraded.channels["cct"]
     assert cct.summary["masked_packets"] > 0
-    h = closed_loop_result(switchless_spec(), "array")
+    healthy = closed_loop(switchless_spec(), RATE).channels["cct"]
     # dead dies mask traffic; rerouting around failed links costs time
-    assert h.channels["cct"].summary["masked_packets"] == 0.0
-    assert cct.summary["makespan"] != h.channels["cct"].summary["makespan"]
+    assert healthy.summary["masked_packets"] == 0.0
+    assert cct.summary["makespan"] != healthy.summary["makespan"]
+
+
+def main() -> int:
+    """Rewrite the fixture from the current reference core."""
+    digests = {name: digest(closed_loop(spec, rate))
+               for name, spec, rate in golden_points()}
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
