@@ -8,41 +8,34 @@ verdicts of the CDG checker (the reproduction's Sec. IV-B finding).
 
 from conftest import once, pick_rates, print_figure, run_curves, sim_params
 
-from repro.core import SwitchlessConfig, build_switchless
-from repro.routing import SwitchlessRouting, verify_deadlock_free
-from repro.traffic import UniformTraffic
+from repro.engine import ExperimentSpec, build_routing, build_system
+from repro.routing import verify_deadlock_free
+
+
+def _spec(policy: str, cgroup_style: str = "mesh") -> ExperimentSpec:
+    return ExperimentSpec.create(
+        topology="switchless",
+        topology_opts={"preset": "small_equiv", "cgroup_style": cgroup_style},
+        routing="switchless",
+        routing_opts={"mode": "minimal", "policy": policy},
+        traffic="uniform",
+    )
 
 
 def _run():
-    params = sim_params()
-    mesh_sys = build_switchless(SwitchlessConfig.small_equiv())
-    io_sys = build_switchless(
-        SwitchlessConfig.small_equiv(cgroup_style="io-router")
-    )
     configs = {
-        "mesh / baseline (4 VC)": (
-            mesh_sys.graph,
-            SwitchlessRouting(mesh_sys, "minimal", policy="baseline"),
-            UniformTraffic(mesh_sys.graph),
-        ),
-        "mesh / reduced (3 VC)": (
-            mesh_sys.graph,
-            SwitchlessRouting(mesh_sys, "minimal", policy="reduced"),
-            UniformTraffic(mesh_sys.graph),
-        ),
-        "io-router / reduced (3 VC)": (
-            io_sys.graph,
-            SwitchlessRouting(io_sys, "minimal", policy="reduced"),
-            UniformTraffic(io_sys.graph),
-        ),
+        "mesh / baseline (4 VC)": _spec("baseline"),
+        "mesh / reduced (3 VC)": _spec("reduced"),
+        "io-router / reduced (3 VC)": _spec("reduced", "io-router"),
     }
     sweeps = run_curves(
-        configs, pick_rates([0.15, 0.3, 0.45, 0.6]), params=params
+        configs, pick_rates([0.15, 0.3, 0.45, 0.6]), params=sim_params()
     )
     verdicts = {}
-    for label, (graph, routing, _t) in configs.items():
+    for label, spec in configs.items():
+        system = build_system(spec)
         verdicts[label] = verify_deadlock_free(
-            graph, routing, max_pairs=1200
+            system.graph, build_routing(spec, system), max_pairs=1200
         ).acyclic
     return sweeps, verdicts
 

@@ -13,10 +13,11 @@ free over several seeds, both cores must produce *identical* results.
 Since the batched-kernel PR the headline metric is **fleet
 points-per-second**: the engine sweep (``run_experiments``) timed
 batched (one packed ``sim_run_batch`` call per chunk of rates, shared
-route plane, vectorized destination pre-resolution) against the
-per-point path, single-threaded so the speedup is pure amortisation +
-vectorization, not thread parallelism.  A third section times a full
-saturation sweep (cutoff included) both ways, and the batched path
+route plane, vectorized destination pre-resolution) against a
+per-point ``simulate_point`` loop over the same rates, single-threaded
+so the speedup is pure amortisation + vectorization, not thread
+parallelism.  A third section times a full saturation sweep (cutoff
+included) both ways, and the batched path
 joins the hard equivalence gate: batched sweep results must be
 bit-identical to per-point results.
 
@@ -44,11 +45,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api.library import sim_params, switchless_arch  # noqa: E402
-from repro.engine.executor import run_experiments  # noqa: E402
+from repro.engine.executor import (  # noqa: E402
+    run_experiments,
+    simulate_point,
+)
 from repro.engine.spec import ExperimentSpec, build_experiment  # noqa: E402
 from repro.network import (  # noqa: E402
     THREADS_ENV,
     Simulator,
+    assemble_sweep,
+    cutoff_walk,
     native_available,
 )
 
@@ -122,13 +128,29 @@ def timing_section(scale: str, new_core: str):
     return rows
 
 
+def _per_point_sweep(spec):
+    """One ``simulate_point`` per rate, walked in order with the
+    engine's saturation cutoff: the per-point column."""
+    results = {}
+    while True:
+        complete, ri = cutoff_walk(len(spec.rates), results, 1)
+        if complete:
+            break
+        results[ri] = simulate_point(spec, spec.rates[ri])
+    return assemble_sweep(spec.label, spec.rates, results, 1)
+
+
 def _timed_sweep(spec, batch: bool, reps: int = 2):
-    """Best-of-``reps`` wall-clock for one engine sweep (no cache, so
-    every point simulates every rep); returns (seconds, sweep)."""
+    """Best-of-``reps`` wall-clock for one sweep, batched through the
+    engine or per point (no cache, so every point simulates every
+    rep); returns (seconds, sweep)."""
     best, sweep = math.inf, None
     for _ in range(reps):
         t0 = time.perf_counter()
-        out = run_experiments([spec], batch=batch, workers=1)[0]
+        if batch:
+            out = run_experiments([spec], workers=1)[0]
+        else:
+            out = _per_point_sweep(spec)
         best = min(best, time.perf_counter() - t0)
         sweep = out
     return best, sweep
@@ -149,7 +171,7 @@ def fleet_section(scale: str, threads: int = 1):
     try:
         # warm: compiles the kernel, fills the worker-local system /
         # routing caches and the shared route memo for both paths
-        run_experiments([spec], batch=True, workers=1)
+        run_experiments([spec], workers=1)
         # best-of-4: single-point wall-clocks on shared hosts are
         # noisy enough to swing the ratio by ~20%
         t_point, sw_p = _timed_sweep(spec, batch=False, reps=4)
@@ -189,7 +211,7 @@ def sweep_wallclock_section(scale: str):
     """Wall-clock of a realistic saturation sweep, cutoff included."""
     params = sim_params(scale)
     spec = fig10_local_uniform_spec(params).with_rates(SWEEP_RATES)
-    run_experiments([spec], batch=True, workers=1)  # warm
+    run_experiments([spec], workers=1)  # warm
     t_point, sw_p = _timed_sweep(spec, batch=False, reps=1)
     t_batch, sw_b = _timed_sweep(spec, batch=True, reps=1)
     section = {
@@ -212,8 +234,8 @@ def batched_equivalence() -> bool:
     """Batched engine sweep bit-identical to the per-point sweep."""
     params = sim_params("quick", seed=23)
     spec = fig10_local_uniform_spec(params)
-    sw_b = run_experiments([spec], batch=True, workers=1)[0]
-    sw_p = run_experiments([spec], batch=False, workers=1)[0]
+    sw_b = run_experiments([spec], workers=1)[0]
+    sw_p = _per_point_sweep(spec)
     same = sw_b.rates == sw_p.rates and all(
         rb.to_dict() == rp.to_dict()
         for rb, rp in zip(sw_b.results, sw_p.results)

@@ -3,8 +3,8 @@
 Every bench regenerates one table or figure of the paper and prints the
 measured series next to the paper's reference values.  The figure
 benches are thin wrappers over the bundled ``repro.api`` scenario
-library (:func:`run_library_study`); only the ablation bench still
-builds live objects, via :func:`run_curves`.
+library (:func:`run_library_study`); the ablation bench sweeps its own
+specs via :func:`run_curves`.
 
 Because the substrate is a pure-Python cycle-accurate simulator, the
 default scale trades simulated cycles / system size for wall-clock
@@ -16,13 +16,14 @@ for paper-exact configurations and Table IV cycle counts, or
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Dict, Sequence
 
 from repro.api import StudyResult, build_study
 from repro.api import pick_rates as _pick_rates
 from repro.api import sim_params as _sim_params
-from repro.engine import ResultCache
-from repro.network import LoadSweep, SimParams, sweep_rates
+from repro.engine import ExperimentSpec, ResultCache, run_experiments
+from repro.network import LoadSweep, SimParams
 
 SCALE = os.environ.get("REPRO_SCALE", "default")
 
@@ -56,24 +57,29 @@ def run_library_study(name: str) -> StudyResult:
 
 
 def run_curves(
-    configs: Dict[str, tuple],
+    configs: Dict[str, ExperimentSpec],
     rates: Sequence[float],
     *,
     params: SimParams,
     stop_after_saturation: int = 1,
 ) -> Dict[str, LoadSweep]:
-    """Sweep each labeled (graph, routing, traffic) triple in-process.
+    """Sweep each labeled spec over ``rates`` with ``params``.
 
-    Legacy path for benches whose knobs (VC policy ablations) build live
-    objects; the figure benches run bundled studies instead.
+    For benches whose knobs (VC policy ablations) are not in the
+    scenario library; the figure benches run bundled studies instead.
     """
-    out: Dict[str, LoadSweep] = {}
-    for label, (graph, routing, traffic) in configs.items():
-        out[label] = sweep_rates(
-            graph, routing, traffic, rates, params,
-            label=label, stop_after_saturation=stop_after_saturation,
-        )
-    return out
+    specs = [
+        replace(spec, rates=tuple(rates), params=params, label=label)
+        for label, spec in configs.items()
+    ]
+    cache = ResultCache(CACHE_DIR) if CACHE_DIR else None
+    sweeps = run_experiments(
+        specs,
+        workers=WORKERS,
+        cache=cache,
+        stop_after_saturation=stop_after_saturation,
+    )
+    return dict(zip(configs, sweeps))
 
 
 def print_figure(title: str, sweeps: Dict[str, LoadSweep], notes: str = "") -> None:

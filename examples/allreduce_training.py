@@ -14,45 +14,57 @@ exchange using the ring step model.
 Run:  python examples/allreduce_training.py
 """
 
-from repro.core import SwitchlessConfig, build_switchless
-from repro.network import SimParams, sweep_rates
-from repro.routing import SwitchStarRouting, XYMeshRouting
-from repro.topology.mesh import MeshSpec, build_mesh, build_switch_with_terminals
-from repro.traffic import RingAllReduceTraffic, ring_allreduce_steps
+from repro.engine import ExperimentSpec, run_experiments
+from repro.network import SimParams
+from repro.traffic import ring_allreduce_steps
 
 PARAMS = SimParams(
     warmup_cycles=300, measure_cycles=1200, drain_cycles=400, seed=3
 )
 
+# intra-C-group ring over 4 chips: mesh vs switch (Fig. 14(a))
+SWITCH = {
+    "topology": "switch",
+    "topology_opts": {"num_terminals": 4, "terminal_latency": 1},
+    "routing": "switch_star",
+}
+MESH = {
+    "topology": "mesh",
+    "topology_opts": {"dim": 4, "chiplet_dim": 2},
+    "routing": "xy_mesh",
+}
 
-def measure_ring(graph, routing, bidirectional, rates, label, scope=None):
-    sweep = sweep_rates(
-        graph, routing,
-        RingAllReduceTraffic(graph, scope, bidirectional=bidirectional),
-        rates, PARAMS, label=label,
+
+def ring_spec(system, bidirectional, rates, label, scope=None):
+    opts = {"bidirectional": bidirectional}
+    if scope is not None:
+        opts["scope"] = scope
+    return ExperimentSpec.create(
+        **system,
+        traffic="ring_allreduce",
+        traffic_opts=opts,
+        params=PARAMS,
+        rates=rates,
+        label=label,
     )
-    return sweep.max_accepted
 
 
 def main() -> None:
-    # intra-C-group ring over 4 chips: mesh vs switch (Fig. 14(a))
-    mesh = build_mesh(MeshSpec(dim=4, chiplet_dim=2))
-    switch = build_switch_with_terminals(4, terminal_latency=1)
-
+    names_specs = {
+        "switch / unidirectional": ring_spec(
+            SWITCH, False, [0.5, 0.9, 1.2], "sw-uni"),
+        "switch / bidirectional": ring_spec(
+            SWITCH, True, [0.5, 0.9, 1.2], "sw-bi"),
+        "wafer mesh / unidirectional": ring_spec(
+            MESH, False, [1.0, 1.7, 2.2], "sl-uni", "snake"),
+        "wafer mesh / bidirectional": ring_spec(
+            MESH, True, [2.0, 3.0, 4.0], "sl-bi", "snake"),
+    }
     print("measuring ring saturation bandwidth (flits/cycle/chip)...")
+    sweeps = run_experiments(list(names_specs.values()))
     results = {
-        "switch / unidirectional": measure_ring(
-            switch.graph, SwitchStarRouting(switch), False,
-            [0.5, 0.9, 1.2], "sw-uni"),
-        "switch / bidirectional": measure_ring(
-            switch.graph, SwitchStarRouting(switch), True,
-            [0.5, 0.9, 1.2], "sw-bi"),
-        "wafer mesh / unidirectional": measure_ring(
-            mesh.graph, XYMeshRouting(mesh), False,
-            [1.0, 1.7, 2.2], "sl-uni", mesh.snake_chip_nodes()),
-        "wafer mesh / bidirectional": measure_ring(
-            mesh.graph, XYMeshRouting(mesh), True,
-            [2.0, 3.0, 4.0], "sl-bi", mesh.snake_chip_nodes()),
+        name: sweep.max_accepted
+        for name, sweep in zip(names_specs, sweeps)
     }
     for name, bw in results.items():
         print(f"  {name:30s} {bw:5.2f}")

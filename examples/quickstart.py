@@ -20,9 +20,9 @@ from repro.analysis import (
     switchless_diameter,
 )
 from repro.core import SwitchlessConfig, build_switchless
-from repro.network import SimParams, sweep_rates
+from repro.engine import ExperimentSpec, run_experiments
+from repro.network import SimParams
 from repro.routing import SwitchlessRouting, verify_deadlock_free
-from repro.traffic import UniformTraffic
 
 
 def main() -> None:
@@ -48,15 +48,22 @@ def main() -> None:
     report = verify_deadlock_free(system.graph, routing, max_pairs=500)
     print(f"\nrouting: {report.describe()}")
 
-    # 4. simulate a short latency-vs-load sweep
-    params = SimParams(
-        warmup_cycles=300, measure_cycles=1000, drain_cycles=400, seed=0
-    )
-    sweep = sweep_rates(
-        system.graph, routing, UniformTraffic(system.graph),
-        rates=[0.1, 0.25, 0.4, 0.55], params=params,
+    # 4. simulate a short latency-vs-load sweep: the same system,
+    #    routing and traffic, described as a spec the engine rebuilds
+    spec = ExperimentSpec.create(
+        topology="switchless",
+        topology_opts={"preset": "small_equiv"},
+        routing="switchless",
+        routing_opts={"mode": "minimal"},
+        traffic="uniform",
+        params=SimParams(
+            warmup_cycles=300, measure_cycles=1000, drain_cycles=400,
+            seed=0,
+        ),
+        rates=[0.1, 0.25, 0.4, 0.55],
         label="uniform / global",
     )
+    [sweep] = run_experiments([spec])
     print()
     print(sweep.format_table())
 

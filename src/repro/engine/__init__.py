@@ -6,9 +6,10 @@ The engine decouples *describing* an experiment from *running* it:
   description of one latency-vs-load curve (topology + routing +
   traffic + :class:`~repro.network.params.SimParams` + rate list) that
   can be rebuilt from scratch inside a worker process;
-* :func:`~repro.engine.executor.run_experiments` fans the individual
-  ``(spec, rate)`` points out over a ``multiprocessing`` pool with
-  deterministic per-point seeds (serial fallback included);
+* :func:`~repro.engine.executor.run_experiments` runs each sweep's
+  missing ``(spec, rate)`` points — packed into native kernel calls
+  or one at a time, inline or over a ``multiprocessing`` pool — with
+  deterministic per-point seeds;
 * :class:`~repro.engine.cache.ResultCache` is an on-disk JSON store so
   re-running a benchmark only simulates the missing points.
 """

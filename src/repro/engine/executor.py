@@ -1,17 +1,27 @@
-"""Batch execution of experiment specs over a multiprocessing pool.
+"""Execution of experiment specs: one scheduler over lane chunks.
 
-The unit of work is one ``(spec, rate)`` point.  Points are simulated
-with :func:`~repro.engine.spec.point_seed`-derived seeds, so a point's
-result is a pure function of the spec and rate — identical whether it
-runs in this process, in a pool worker, or in a previous session whose
-result is replayed from the :class:`~repro.engine.cache.ResultCache`.
+The unit of *result* is one ``(spec, rate)`` point.  Points are
+simulated with :func:`~repro.engine.spec.point_seed`-derived seeds, so
+a point's result is a pure function of the spec and rate — identical
+whether it runs in this process, in a pool worker, packed into a
+batched kernel call, or in a previous session whose result is replayed
+from the :class:`~repro.engine.cache.ResultCache`.
 
-Sweep semantics match :func:`repro.network.sweep.sweep_rates`: rates
-are walked in order and the sweep is cut off after
-``stop_after_saturation`` saturated points.  The parallel scheduler may
-*speculatively* simulate a few points past the eventual cutoff (they
-are cached but excluded from the returned sweep), which is what lets a
-single sweep's points run concurrently.
+The unit of *work* is a task: the next missing rates of one sweep, in
+cutoff order.  The lane kind follows from what the session can run:
+
+* an open-loop spec on a native-core session packs up to
+  ``max(_BATCH_CHUNK_MIN, threads)`` rates into one
+  :class:`~repro.network.native.NativeBatch` kernel call, handing the
+  resolved route plane from chunk to chunk through a worker-local LRU;
+* every other spec (closed-loop workloads, reference-core sessions)
+  runs one rate per task through :func:`simulate_point`.
+
+Rates are walked in order and each sweep is cut off after
+``stop_after_saturation`` saturated points.  Tasks in flight when a
+cutoff is decided run *speculatively*: their points are cached but
+excluded from the returned sweep.  That is what lets one sweep's
+points run concurrently (and a whole chunk share one kernel call).
 """
 
 from __future__ import annotations
@@ -24,21 +34,20 @@ import time
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..network.native import THREADS_ENV, NativeBatch, native_available
+from ..network.native import THREADS_ENV, NativeBatch
 from ..obs import REGISTRY
 from ..obs import trace as obs_trace
 from ..network.simulator import (
-    CORE_ENV,
     Simulator,
     _attach_probe_channels,
-    run_batch,
+    _resolve_core,
 )
 from ..network.stats import SimResult
 from ..network.sweep import LoadSweep, assemble_sweep, cutoff_walk
@@ -64,20 +73,21 @@ __all__ = [
 
 
 class PointFailure(RuntimeError):
-    """A point (or sweep) that keeps killing its worker process.
+    """A task (one point, or one packed chunk) that keeps killing its
+    worker process.
 
-    Raised by the pooled schedulers after a crash-suspect re-run solo
-    and crashed again through its retry budget — a *poison* input.  A
-    dead worker only ever fails the points it was carrying: everything
-    else in the run completes (or is retried) normally.
+    Raised after a crash suspect re-ran solo and crashed again through
+    its retry budget — a *poison* input.  A dead worker only ever fails
+    the tasks it was carrying: everything else in the run completes (or
+    is retried) normally.
     """
 
 #: signature of the optional per-point completion hook of
 #: :func:`run_experiments`: ``on_point(spec_index, rate_index, rate,
 #: result, source)`` where ``source`` is ``"cache"`` for replayed
 #: points and ``"fresh"`` for newly simulated ones.  Exceptions raised
-#: by the hook abort the run (in-flight points of the parallel /
-#: batched schedulers still land in the cache first).
+#: by the hook abort the run (the point it was called for is already
+#: in the cache).
 PointCallback = Callable[[int, int, float, SimResult, str], None]
 
 logger = logging.getLogger("repro.engine")
@@ -93,11 +103,12 @@ _M_POINTS = REGISTRY.counter(
 )
 _M_POINT_SECONDS = REGISTRY.histogram(
     "engine_point_seconds",
-    "Wall time per freshly simulated point (serial path)",
+    "Wall time per freshly simulated point where it ran "
+    "(a packed chunk's time is split evenly over its lanes)",
 )
 _M_CRASHES = REGISTRY.counter(
     "engine_worker_crashes_total",
-    "Engine pool crashes (a worker died mid-point/sweep)",
+    "Engine pool crashes (a worker died mid-task)",
 )
 _M_BATCH_LANES = REGISTRY.histogram(
     "engine_batch_lanes",
@@ -108,19 +119,18 @@ _M_BATCH_LANES = REGISTRY.histogram(
 #: environment override for the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: environment override for the per-point retry budget: how many times
-#: a point that *raised* (not crashed) is re-attempted before its error
+#: environment override for the per-task retry budget: how many times
+#: a task that *raised* (not crashed) is re-attempted before its error
 #: propagates.  Crash retries (dead worker) use the same budget.
 POINT_RETRIES_ENV = "REPRO_POINT_RETRIES"
 
 #: minimum lanes per batch dispatch.  Each chunk is one packed kernel
 #: call; points past a saturation cutoff inside the final chunk are
-#: speculative (cached but excluded from the sweep), exactly like the
-#: parallel scheduler's in-flight points — so the chunk size bounds
-#: speculation the same way ``workers`` does there.  Eight lanes
-#: amortize per-chunk setup (batch construction, route-plane lookups)
-#: measurably better than four while still keeping at most seven
-#: speculative points past a cutoff.
+#: speculative (cached but excluded from the sweep), exactly like
+#: in-flight pool tasks — so the chunk size bounds speculation the same
+#: way ``workers`` does.  Eight lanes amortize per-chunk setup (batch
+#: construction, route-plane lookups) measurably better than four while
+#: still keeping at most seven speculative points past a cutoff.
 _BATCH_CHUNK_MIN = 8
 
 # Worker-local reuse of built topologies and routings: building a graph
@@ -131,47 +141,65 @@ _BATCH_CHUNK_MIN = 8
 _SYSTEM_LRU_SIZE = 4
 _systems: "OrderedDict[Tuple, object]" = OrderedDict()
 _routings: "OrderedDict[Tuple, object]" = OrderedDict()
-# Batched path only: the donor core carrying a routing's resolved
-# route plane (arena + memo + numpy mirrors), keyed like _routings, so
-# consecutive batched sweeps of one configuration skip route
-# resolution entirely.  The per-point path keeps its pre-batch
-# behaviour (fresh core, lazy resolution per point).
+# Packed lanes only: the donor core carrying a routing's resolved route
+# plane (arena + memo + numpy mirrors), keyed like _routings, so
+# consecutive chunks of one configuration skip route resolution
+# entirely.  Per-point lanes keep a fresh core that resolves lazily.
 _route_planes: "OrderedDict[Tuple, object]" = OrderedDict()
+
+#: a task: ``(spec index, rate indices)`` — one sweep's next missing
+#: rates in cutoff order, computed together by one lane runner.
+Task = Tuple[int, Tuple[int, ...]]
+
+
+def _lru_put(table: "OrderedDict[Tuple, object]", key: Tuple, obj) -> None:
+    table[key] = obj
+    table.move_to_end(key)
+    while len(table) > _SYSTEM_LRU_SIZE:
+        table.popitem(last=False)
 
 
 def _lru_get(table: "OrderedDict[Tuple, object]", key: Tuple, build):
     obj = table.get(key)
     if obj is None:
         obj = build()
-        table[key] = obj
-        while len(table) > _SYSTEM_LRU_SIZE:
-            table.popitem(last=False)
-    else:
-        table.move_to_end(key)
+    _lru_put(table, key, obj)
     return obj
 
 
-def simulate_point(spec: ExperimentSpec, rate: float) -> SimResult:
-    """Simulate one point with its deterministic derived seed."""
+def _realise(spec: ExperimentSpec):
+    """``(graph, routing, traffic, routing_key)`` for a spec, reusing
+    the worker-local system and routing.
+
+    The fault axis is part of the routing identity: a fault-aware
+    wrapper (and its repair trees / route memo) must never be reused
+    for a different fault instance, nor for the healthy system.
+    """
+    topo_key = (spec.topology, spec.topology_opts)
+    system = _lru_get(_systems, topo_key, lambda: build_system(spec))
+    routing_key = topo_key + (spec.routing, spec.routing_opts, spec.faults)
+    routing = _lru_get(
+        _routings, routing_key, lambda: build_routing(spec, system)
+    )
+    graph, routing, traffic = build_experiment(
+        spec, system=system, routing=routing
+    )
+    return graph, routing, traffic, routing_key
+
+
+def _chaos_point(spec: ExperimentSpec, rate: float) -> None:
     if os.environ.get("REPRO_CHAOS"):
         # fault injection (tests only): lazy so the production path
         # never imports the service layer; see repro.service.chaos
         from ..service import chaos
 
         chaos.engine_point(f"{spec.label or spec.describe()}@{rate:g}")
-    topo_key = (spec.topology, spec.topology_opts)
-    system = _lru_get(_systems, topo_key, lambda: build_system(spec))
-    # the fault axis is part of the routing identity: a fault-aware
-    # wrapper (and its repair trees / route memo) must never be reused
-    # for a different fault instance, nor for the healthy system
-    routing = _lru_get(
-        _routings,
-        topo_key + (spec.routing, spec.routing_opts, spec.faults),
-        lambda: build_routing(spec, system),
-    )
-    graph, routing, traffic = build_experiment(
-        spec, system=system, routing=routing
-    )
+
+
+def simulate_point(spec: ExperimentSpec, rate: float) -> SimResult:
+    """Simulate one point with its deterministic derived seed."""
+    _chaos_point(spec, rate)
+    graph, routing, traffic, _ = _realise(spec)
     if spec.workload:
         # closed-loop: phase-scheduled injection, window = makespan
         from ..workload.driver import run_closed_loop
@@ -183,6 +211,68 @@ def simulate_point(spec: ExperimentSpec, rate: float) -> SimResult:
     ).run(rate)
 
 
+def _packed_lanes(
+    spec: ExperimentSpec, rates: Sequence[float], threads: int
+) -> List[SimResult]:
+    """One packed native kernel call over ``rates``.
+
+    Each lane keeps the :func:`~repro.engine.spec.point_seed` value
+    :func:`simulate_point` would use, so every result is bit-identical
+    to the per-point path.  The resolved route plane is handed from
+    chunk to chunk (``route_donor``), so each (src, dst) route is
+    resolved once per configuration, not once per chunk.
+    """
+    label = spec.label or spec.describe()
+    with obs_trace.span("route.resolve", label=label):
+        graph, routing, traffic, routing_key = _realise(spec)
+    for rate in rates:
+        _chaos_point(spec, rate)
+    probes = build_metrics(spec)
+    # NativeBatch validates the donor (same graph/routing objects,
+    # deterministic) and silently ignores a stale one, so a plane
+    # whose routing was rebuilt after LRU eviction is never misused.
+    donor = _route_planes.get(routing_key)
+    with obs_trace.span(
+        "kernel.prepare", lanes=len(rates), donor=donor is not None
+    ):
+        batch = NativeBatch(
+            graph,
+            routing,
+            traffic,
+            spec.params,
+            [point_seed(spec, rate) for rate in rates],
+            probes=bool(probes),
+            route_donor=donor,
+        )
+    with obs_trace.span("kernel.run", lanes=len(rates), threads=threads):
+        results = batch.run(list(rates), threads=threads)
+    donor = batch.route_donor or donor
+    if donor is not None:
+        _lru_put(_route_planes, routing_key, donor)
+    if probes:
+        with obs_trace.span("probe.decode", lanes=len(rates)):
+            for rate, core, res in zip(rates, batch.lanes, results):
+                _attach_probe_channels(core, rate, probes, res)
+    return results
+
+
+def _point_lanes(
+    spec: ExperimentSpec, rates: Sequence[float]
+) -> List[SimResult]:
+    """One :func:`simulate_point` per lane (closed-loop and
+    reference-core tasks, whose chunk width is 1)."""
+    out = []
+    for rate in rates:
+        with obs_trace.span(
+            "engine.point",
+            label=spec.label or spec.describe(),
+            rate=rate,
+            worker=os.getpid(),
+        ):
+            out.append(simulate_point(spec, rate))
+    return out
+
+
 def _point_retries() -> int:
     env = os.environ.get(POINT_RETRIES_ENV)
     if env:
@@ -190,48 +280,49 @@ def _point_retries() -> int:
     return 1
 
 
-def _attempt_point(spec: ExperimentSpec, rate: float) -> SimResult:
-    """``simulate_point`` with the per-point retry budget applied.
+def _run_task(
+    spec: ExperimentSpec, ris: Tuple[int, ...], threads: int
+) -> Tuple[List[SimResult], float]:
+    """The lane runner: compute one task, in this process or a worker.
 
-    A raising point is re-attempted up to ``REPRO_POINT_RETRIES`` extra
-    times (results are pure functions of ``(spec, rate)``, so a retry
-    is exact); the last error propagates.  Worker *crashes* cannot be
-    handled here — the pooled schedulers contain those.
+    ``threads > 0`` packs the task into one native kernel call with
+    that many lane threads; ``0`` runs its lanes one by one.  A raising
+    task is re-attempted up to ``REPRO_POINT_RETRIES`` extra times
+    (results are pure functions of ``(spec, rate)``, so a retry is
+    exact); the last error propagates.  Worker *crashes* cannot be
+    handled here — the scheduler contains those.  Returns the results
+    and the task's wall seconds.
+
+    Spans parent to the ``REPRO_TRACEPARENT`` carrier and land in the
+    ``REPRO_SPANLOG`` file (both inherited through the pool), so
+    worker-side timings join the submitting job's trace.
     """
-    retries = _point_retries()
+    rates = [spec.rates[ri] for ri in ris]
+    t0 = time.perf_counter()
     attempt = 0
     while True:
         attempt += 1
         try:
-            return simulate_point(spec, rate)
+            if threads:
+                results = _packed_lanes(spec, rates, threads)
+            else:
+                results = _point_lanes(spec, rates)
+            return results, time.perf_counter() - t0
         except Exception as exc:
-            if attempt > retries:
+            if attempt > _point_retries():
                 raise
             logger.warning(
-                "%s rate=%.3f attempt %d failed (%s: %s); retrying",
+                "%s rates=%s attempt %d failed (%s: %s); retrying",
                 spec.describe(),
-                rate,
+                _fmt_rates(rates),
                 attempt,
                 type(exc).__name__,
                 exc,
             )
 
 
-def _point_task(task: Tuple[int, int, ExperimentSpec, float]):
-    """One pooled point, run inside a worker process.
-
-    The span parents to the ``REPRO_TRACEPARENT`` carrier and lands in
-    the ``REPRO_SPANLOG`` file (both inherited through the pool), so
-    worker-side timings join the submitting job's trace."""
-    si, ri, spec, rate = task
-    with obs_trace.span(
-        "engine.point",
-        label=spec.label or spec.describe(),
-        rate=rate,
-        worker=os.getpid(),
-    ):
-        res = _attempt_point(spec, rate)
-    return si, ri, res
+def _fmt_rates(rates: Sequence[float]) -> str:
+    return ",".join(f"{rate:.3f}" for rate in rates)
 
 
 def _resolve_workers(
@@ -246,7 +337,7 @@ def _resolve_workers(
     as a parallel 'speedup'.
 
     ``kernel_threads`` is how many threads each worker's kernel calls
-    will spin up (the batched path's lane threads); the clamp keeps
+    will spin up (packed lanes' threads); the clamp keeps
     ``workers x kernel_threads <= cpu_count`` so process- and
     thread-level parallelism never multiply into oversubscription.
     """
@@ -259,30 +350,13 @@ def _resolve_workers(
 
 
 def _kernel_threads() -> int:
-    """Lane threads per batched kernel call (``REPRO_SIM_THREADS`` or
+    """Lane threads per packed kernel call (``REPRO_SIM_THREADS`` or
     the CPU count; :func:`repro.network.native.resolve_threads` clamps
     to the actual lane count per call)."""
     env = os.environ.get(THREADS_ENV)
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
-
-
-def _batch_enabled(batch: Optional[bool]) -> bool:
-    """Whether run_experiments takes the batched fast path.
-
-    Explicit ``batch=`` wins; otherwise auto: batch when the native
-    core would be the session's core (available and not overridden via
-    ``REPRO_SIM_CORE``).  The auto rule keeps reference-core sessions
-    on the per-point path, whose process pool is what parallelises the
-    pure-Python core.
-    """
-    if batch is not None:
-        return bool(batch)
-    core = os.environ.get(CORE_ENV)
-    if core and core not in ("native",):
-        return False
-    return native_available()
 
 
 def _pool_context():
@@ -296,6 +370,26 @@ def _pool_context():
     return mp.get_context("spawn")
 
 
+class _Inline:
+    """Executor stand-in for ``workers <= 1``: each task runs in this
+    process when it is submitted and comes back as a finished future,
+    so the inline and pooled runs share one scheduling loop."""
+
+    def __enter__(self) -> "_Inline":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 # ----------------------------------------------------------------------
 # the executor
 # ----------------------------------------------------------------------
@@ -305,10 +399,9 @@ def run_experiments(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     stop_after_saturation: int = 1,
-    batch: Optional[bool] = None,
     on_point: Optional[PointCallback] = None,
 ) -> List[LoadSweep]:
-    """Run every spec's sweep, fanning points out over a process pool.
+    """Run every spec's sweep and assemble one :class:`LoadSweep` each.
 
     Parameters
     ----------
@@ -317,26 +410,19 @@ def run_experiments(
         in order.
     workers:
         Pool size.  ``None`` reads ``REPRO_WORKERS`` and falls back to
-        the CPU count; ``<= 1`` selects the serial in-process path,
-        which runs points strictly in rate order (no speculation).
-        On the batched path, workers parallelise *sweeps* while kernel
-        threads parallelise lanes within a sweep, clamped together so
-        ``workers x threads <= cpu_count``.
+        the CPU count; ``<= 1`` runs tasks inline in this process, one
+        sweep after another in rate order.  When every spec runs packed
+        native lanes, workers parallelise *sweeps* while kernel threads
+        parallelise lanes within a chunk, clamped together so
+        ``workers x threads <= cpu_count``; otherwise every task is one
+        lane and workers parallelise points (native chunks of a mixed
+        study then get one kernel thread each).
     cache:
         Optional on-disk store; previously simulated points are loaded
         instead of re-run, and fresh points are written back.
     stop_after_saturation:
-        Cut each sweep off after this many saturated points, exactly as
-        :func:`repro.network.sweep.sweep_rates` does.
-    batch:
-        ``True``/``False`` forces the batched fast path on/off;
-        ``None`` (default) auto-enables it when the native core is the
-        session's core.  Batched results are
-        bit-identical to per-point results: each lane keeps its
-        :func:`~repro.engine.spec.point_seed`-derived seed, cache
-        entries are interchangeable between both paths, and saturation
-        cutoffs still stop a sweep (a final chunk may speculate a few
-        points past the cutoff, exactly like the parallel scheduler).
+        Cut each sweep off after this many saturated points (past
+        saturation the latency is unbounded anyway).
     on_point:
         Optional :data:`PointCallback` invoked in *this* process as each
         point completes — cache replays first (``source="cache"``), then
@@ -375,28 +461,16 @@ def run_experiments(
             for ri in range(len(spec.rates))
             if ri not in have[si]
         )
-        # closed-loop specs run on the reference core (the plan needs a
-        # per-cycle callback the packed kernel lacks); they take the
-        # pooled path
-        use_batch = (
-            total_missing > 0
-            and _batch_enabled(batch)
-            and not any(s.workload for s in specs)
+        workers, threads = _plan(
+            specs, have, workers, stop_after_saturation, total_missing
         )
-        if use_batch:
-            threads = _kernel_threads()
-            workers = _resolve_workers(
-                workers, len(specs), kernel_threads=threads
-            )
-        else:
-            workers = _resolve_workers(workers, total_missing)
         run_span.set(missing=total_missing, workers=workers)
         t0 = time.perf_counter()
 
-        # Advertise the ambient context to pool workers: both pooled
-        # schedulers create their pools inside this window, so forked
-        # and spawned children alike inherit the carrier and parent
-        # their spans correctly (spans land via REPRO_SPANLOG).
+        # Advertise the ambient context to pool workers: the pool is
+        # created inside this window, so forked and spawned children
+        # alike inherit the carrier and parent their spans correctly
+        # (spans land via REPRO_SPANLOG).
         ctx = obs_trace.current_context()
         saved = os.environ.get(obs_trace.TRACEPARENT_ENV)
         saved_pid = os.environ.get(obs_trace.TRACEPARENT_PID_ENV)
@@ -407,21 +481,10 @@ def run_experiments(
             # mark the carrier as ours: only *child* processes read it
             os.environ[obs_trace.TRACEPARENT_PID_ENV] = str(os.getpid())
         try:
-            if total_missing == 0:
-                pass  # everything replayed from cache
-            elif use_batch:
-                _run_batched(
+            if total_missing:
+                _schedule(
                     specs, have, cache, stop_after_saturation, workers,
                     threads, on_point,
-                )
-            elif workers <= 1:
-                _run_serial(
-                    specs, have, cache, stop_after_saturation, on_point
-                )
-            else:
-                _run_parallel(
-                    specs, have, cache, stop_after_saturation, workers,
-                    on_point,
                 )
         finally:
             if saved is None:
@@ -454,6 +517,37 @@ def run_experiments(
     return sweeps
 
 
+def _plan(
+    specs: Sequence[ExperimentSpec],
+    have: List[Dict[int, SimResult]],
+    workers: Optional[int],
+    stop_after_saturation: int,
+    total_missing: int,
+) -> Tuple[int, int]:
+    """Pool size and the kernel threads of packed lanes (0: no packed
+    lanes — a reference-core session runs every task per point)."""
+    if not total_missing:
+        return 1, 0
+    if _resolve_core(None) != "native":
+        return _resolve_workers(workers, total_missing), 0
+    if any(spec.workload for spec in specs):
+        # closed-loop specs run per point: size the pool per lane and
+        # give the open-loop chunks one kernel thread each
+        return _resolve_workers(workers, total_missing), 1
+    # all packed: a worker per incomplete sweep at most, and kernel
+    # threads fill the rest of the machine
+    threads = _kernel_threads()
+    incomplete = sum(
+        1
+        for si, spec in enumerate(specs)
+        if not cutoff_walk(len(spec.rates), have[si], stop_after_saturation)[0]
+    )
+    return (
+        _resolve_workers(workers, incomplete, kernel_threads=threads),
+        threads,
+    )
+
+
 def _store(
     cache: Optional[ResultCache],
     spec: ExperimentSpec,
@@ -476,86 +570,75 @@ def _store(
         )
 
 
-def _run_serial(
-    specs: Sequence[ExperimentSpec],
-    have: List[Dict[int, SimResult]],
-    cache: Optional[ResultCache],
-    stop_after_saturation: int,
-    on_point: Optional[PointCallback] = None,
-) -> None:
-    for si, spec in enumerate(specs):
-        while True:
-            complete, ri = cutoff_walk(
-                len(spec.rates), have[si], stop_after_saturation
-            )
-            if complete:
-                break
-            rate = spec.rates[ri]
-            t0 = time.perf_counter()
-            with obs_trace.span(
-                "engine.point",
-                label=spec.label or spec.describe(),
-                rate=rate,
-            ):
-                res = _attempt_point(spec, rate)
-            elapsed = time.perf_counter() - t0
-            logger.debug(
-                "%s rate=%.3f done in %.2fs",
-                spec.describe(), rate, elapsed,
-            )
-            _M_POINTS.inc(source="fresh")
-            _M_POINT_SECONDS.observe(elapsed)
-            have[si][ri] = res
-            with obs_trace.span("store.write", rate=rate):
-                _store(cache, spec, rate, res)
-            if on_point is not None:
-                on_point(si, ri, rate, res, "fresh")
-
-
-def _run_parallel(
+def _schedule(
     specs: Sequence[ExperimentSpec],
     have: List[Dict[int, SimResult]],
     cache: Optional[ResultCache],
     stop_after_saturation: int,
     workers: int,
+    threads: int,
     on_point: Optional[PointCallback] = None,
 ) -> None:
-    """Completion-driven scheduler: workers never idle on a barrier.
+    """Completion-driven scheduler over tasks: workers never idle on a
+    barrier.
 
-    Up to ``workers`` points are in flight at once, drawn round-robin
+    Up to ``workers`` tasks are in flight at once, drawn round-robin
     across incomplete sweeps in rate order; each completion immediately
-    refills the freed worker.  Saturation cutoffs are re-evaluated on
-    every completion, so a sweep that saturates stops feeding new points
-    (in-flight ones finish, are cached, and are simply excluded by the
-    final assembly — results are order-independent thanks to the
-    per-point derived seeds).
+    refills the freed slot.  With ``threads > 0`` an open-loop sweep's
+    task packs ``max(_BATCH_CHUNK_MIN, threads)`` rates into one kernel
+    call on that many threads; every other task is one rate.
+    Saturation cutoffs are re-evaluated on every completion, so a sweep
+    that saturates stops feeding new tasks (in-flight ones finish, are
+    cached, and are simply excluded by the final assembly — results are
+    order-independent thanks to the per-point derived seeds).  With
+    ``workers <= 1`` the same loop runs each task inline, so sweeps
+    complete one after another.
 
     **Crash containment.**  A worker dying (SIGKILL, segfault, OOM)
-    breaks the whole ``ProcessPoolExecutor``; every in-flight point is
-    lost but nothing tells us *which* point killed it.  The lost points
+    breaks the whole ``ProcessPoolExecutor``; every in-flight task is
+    lost but nothing tells us *which* task killed it.  The lost tasks
     go on **probation**: a fresh pool re-runs them one at a time, so a
-    poison point crashes solo and is blamed definitively — after the
+    poison task crashes solo and is blamed definitively — after the
     retry budget it raises :class:`PointFailure`; innocent casualties
     complete on their first probation pass and the scheduler resumes
     full-width.  Completed points are already cached, so a crash never
     loses finished work.
     """
-    ctx = _pool_context()
     max_crashes = 1 + _point_retries()
-    crashes: Dict[Tuple[int, int], int] = {}
-    probation: List[Tuple[int, int]] = []
+    crashes: Dict[Task, int] = {}
+    probation: List[Task] = []
+    packed = [bool(threads) and not spec.workload for spec in specs]
+    width = max(_BATCH_CHUNK_MIN, threads)
 
-    def record(si: int, ri: int, res: SimResult) -> None:
-        have[si][ri] = res
-        _M_POINTS.inc(source="fresh")
-        _store(cache, specs[si], specs[si].rates[ri], res)
-        if on_point is not None:
-            on_point(si, ri, specs[si].rates[ri], res, "fresh")
+    def submit(pool, task: Task) -> Future:
+        si, ris = task
+        return pool.submit(
+            _run_task, specs[si], ris, threads if packed[si] else 0
+        )
 
-    def next_points(
-        inflight: Set[Tuple[int, int]], limit: int
-    ) -> List[Tuple[int, int]]:
-        """Points to submit, round-robin across incomplete sweeps."""
+    def record(task: Task, future: Future) -> None:
+        results, elapsed = future.result()
+        si, ris = task
+        spec = specs[si]
+        logger.debug(
+            "%s rates=%s done in %.2fs",
+            spec.describe(), _fmt_rates(spec.rates[ri] for ri in ris),
+            elapsed,
+        )
+        if packed[si]:
+            _M_BATCH_LANES.observe(len(ris))
+        for ri, res in zip(ris, results):
+            have[si][ri] = res
+            _M_POINTS.inc(source="fresh")
+            _M_POINT_SECONDS.observe(elapsed / len(ris))
+            if cache is not None:
+                with obs_trace.span("store.write", rate=spec.rates[ri]):
+                    _store(cache, spec, spec.rates[ri], res)
+            if on_point is not None:
+                on_point(si, ri, spec.rates[ri], res, "fresh")
+
+    def next_tasks(inflight: Set[Tuple[int, int]], limit: int) -> List[Task]:
+        """Tasks to submit, round-robin across incomplete sweeps."""
         queues = []
         for si, spec in enumerate(specs):
             complete, first = cutoff_walk(
@@ -563,14 +646,19 @@ def _run_parallel(
             )
             if complete:
                 continue
-            queue = [
-                (si, ri)
+            pending = [
+                ri
                 for ri in range(first, len(spec.rates))
                 if ri not in have[si] and (si, ri) not in inflight
             ]
+            step = width if packed[si] else 1
+            queue = [
+                (si, tuple(pending[i:i + step]))
+                for i in range(0, len(pending), step)
+            ]
             if queue:
                 queues.append(queue)
-        picked: List[Tuple[int, int]] = []
+        picked: List[Task] = []
         depth = 0
         while len(picked) < limit and queues:
             progressed = False
@@ -585,324 +673,64 @@ def _run_parallel(
         return picked
 
     while True:
-        inflight_now: List[Tuple[int, int]] = []
+        inflight_now: List[Task] = []
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx
+            with (
+                _Inline() if workers <= 1
+                else ProcessPoolExecutor(
+                    max_workers=workers, mp_context=_pool_context()
+                )
             ) as pool:
                 # probation: crash suspects re-run solo for blame
                 while probation:
-                    si, ri = probation[0]
-                    inflight_now = [(si, ri)]
-                    future = pool.submit(
-                        _point_task,
-                        (si, ri, specs[si], specs[si].rates[ri]),
-                    )
-                    _, _, res = future.result()
-                    record(si, ri, res)
+                    task = probation[0]
+                    inflight_now = [task]
+                    record(task, submit(pool, task))
                     probation.pop(0)
-                    crashes.pop((si, ri), None)
-                inflight_now = []
-                futures: Dict = {}
+                    crashes.pop(task, None)
+                futures: Dict[Future, Task] = {}
 
-                def submit(si: int, ri: int) -> None:
-                    futures[
-                        pool.submit(
-                            _point_task,
-                            (si, ri, specs[si], specs[si].rates[ri]),
-                        )
-                    ] = (si, ri)
+                def refill() -> None:
+                    inflight = {
+                        (si, ri)
+                        for si, ris in futures.values()
+                        for ri in ris
+                    }
+                    for task in next_tasks(inflight, workers - len(futures)):
+                        futures[submit(pool, task)] = task
 
-                for si, ri in next_points(set(), workers):
-                    submit(si, ri)
+                refill()
                 while futures:
                     inflight_now = list(futures.values())
-                    done_set, _ = wait(
-                        set(futures), return_when=FIRST_COMPLETED
-                    )
-                    for future in done_set:
-                        si, ri = futures.pop(future)
-                        _, _, res = future.result()
-                        record(si, ri, res)
-                        logger.debug(
-                            "%s rate=%.3f done (%d in flight)",
-                            specs[si].describe(),
-                            specs[si].rates[ri],
-                            len(futures),
-                        )
-                    for si, ri in next_points(
-                        set(futures.values()), workers - len(futures)
-                    ):
-                        submit(si, ri)
+                    done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
+                    for future in done:
+                        record(futures.pop(future), future)
+                    refill()
                 return
         except BrokenProcessPool:
             _M_CRASHES.inc()
             lost = [
-                (si, ri)
-                for si, ri in inflight_now
-                if ri not in have[si]
+                (si, ris)
+                for si, ris in inflight_now
+                if any(ri not in have[si] for ri in ris)
             ]
             if len(lost) == 1:
-                point = lost[0]
-                crashes[point] = crashes.get(point, 0) + 1
-                if crashes[point] >= max_crashes:
-                    si, ri = point
+                task = lost[0]
+                crashes[task] = crashes.get(task, 0) + 1
+                if crashes[task] >= max_crashes:
+                    si, ris = task
                     raise PointFailure(
-                        f"{specs[si].describe()} rate="
-                        f"{specs[si].rates[ri]:.3f} crashed its worker "
-                        f"process {crashes[point]} time(s); giving up "
-                        "on this point (other points completed "
-                        "normally)"
+                        f"{specs[si].describe()} rates="
+                        f"{_fmt_rates(specs[si].rates[ri] for ri in ris)}"
+                        f" crashed its worker process {crashes[task]} "
+                        "time(s); giving up on this task (other tasks "
+                        "completed normally)"
                     ) from None
             probation = lost + [p for p in probation if p not in lost]
             logger.warning(
                 "engine pool crashed (worker died); re-running %d "
-                "lost point(s) under probation",
+                "lost task(s) under probation",
                 len(lost),
-            )
-
-
-def _sweep_batch(
-    spec: ExperimentSpec,
-    have_ri: Dict[int, SimResult],
-    stop_after_saturation: int,
-    threads: int,
-    on_point=None,
-) -> Dict[int, SimResult]:
-    """Walk one spec's sweep in packed lane batches.
-
-    Each iteration dispatches the next ``max(_BATCH_CHUNK_MIN,
-    threads)`` missing rates as one packed batch — per-lane seeds are
-    the same :func:`~repro.engine.spec.point_seed` values
-    ``simulate_point`` uses, so every point's result is bit-identical
-    to the per-point path.  The cutoff walk re-runs between chunks, so
-    a saturated sweep stops after at most one speculative chunk.  On
-    the native path consecutive chunks hand the resolved route plane
-    forward (``route_donor``), so each (src, dst) route is resolved
-    once per *sweep*, not once per chunk.  Returns only the newly
-    simulated points.
-    """
-    with obs_trace.span(
-        "route.resolve", label=spec.label or spec.describe()
-    ):
-        topo_key = (spec.topology, spec.topology_opts)
-        system = _lru_get(
-            _systems, topo_key, lambda: build_system(spec)
-        )
-        routing_key = topo_key + (
-            spec.routing, spec.routing_opts, spec.faults
-        )
-        routing = _lru_get(
-            _routings, routing_key, lambda: build_routing(spec, system)
-        )
-        graph, routing, traffic = build_experiment(
-            spec, system=system, routing=routing
-        )
-    probes = build_metrics(spec)
-    native = (
-        os.environ.get(CORE_ENV) in (None, "", "native")
-        and native_available()
-    )
-    # NativeBatch validates the donor (same graph/routing objects,
-    # deterministic) and silently ignores a stale one, so a plane
-    # whose routing was rebuilt after LRU eviction is never misused.
-    donor = _route_planes.get(routing_key) if native else None
-    chunk_size = max(_BATCH_CHUNK_MIN, threads)
-    merged = dict(have_ri)
-    new: Dict[int, SimResult] = {}
-    while True:
-        complete, first = cutoff_walk(
-            len(spec.rates), merged, stop_after_saturation
-        )
-        if complete:
-            break
-        pending = [
-            ri
-            for ri in range(first, len(spec.rates))
-            if ri not in merged
-        ]
-        chunk = pending[:chunk_size]
-        lanes = [
-            (point_seed(spec, spec.rates[ri]), spec.rates[ri])
-            for ri in chunk
-        ]
-        if os.environ.get("REPRO_CHAOS"):
-            from ..service import chaos
-
-            for _, lane_rate in lanes:
-                chaos.engine_point(
-                    f"{spec.label or spec.describe()}@{lane_rate:g}"
-                )
-        t0 = time.perf_counter()
-        _M_BATCH_LANES.observe(len(chunk))
-        if native:
-            with obs_trace.span(
-                "kernel.prepare",
-                lanes=len(chunk),
-                donor=donor is not None,
-            ):
-                batch = NativeBatch(
-                    graph,
-                    routing,
-                    traffic,
-                    spec.params,
-                    [seed for seed, _ in lanes],
-                    probes=bool(probes),
-                    route_donor=donor,
-                )
-            with obs_trace.span(
-                "kernel.run", lanes=len(chunk), threads=threads
-            ):
-                results = batch.run(
-                    [rate for _, rate in lanes], threads=threads
-                )
-            donor = batch.route_donor or donor
-            if probes:
-                with obs_trace.span("probe.decode", lanes=len(chunk)):
-                    for (_, rate), core, res in zip(
-                        lanes, batch.lanes, results
-                    ):
-                        _attach_probe_channels(core, rate, probes, res)
-        else:
-            with obs_trace.span(
-                "kernel.run",
-                lanes=len(chunk),
-                threads=threads,
-                core="python",
-            ):
-                results = run_batch(
-                    graph,
-                    routing,
-                    traffic,
-                    spec.params,
-                    lanes,
-                    threads=threads,
-                    probes=probes or None,
-                )
-        logger.debug(
-            "%s batched %d lane(s) in %.2fs",
-            spec.describe(), len(chunk), time.perf_counter() - t0,
-        )
-        for ri, res in zip(chunk, results):
-            merged[ri] = res
-            new[ri] = res
-            if on_point is not None:
-                on_point(ri, spec.rates[ri], res)
-    if native and donor is not None:
-        _route_planes[routing_key] = donor
-        _route_planes.move_to_end(routing_key)
-        while len(_route_planes) > _SYSTEM_LRU_SIZE:
-            _route_planes.popitem(last=False)
-    return new
-
-
-def _sweep_batch_task(task):
-    si, spec, have_ri, stop_after_saturation, threads = task
-    return si, _sweep_batch(spec, have_ri, stop_after_saturation, threads)
-
-
-def _run_batched(
-    specs: Sequence[ExperimentSpec],
-    have: List[Dict[int, SimResult]],
-    cache: Optional[ResultCache],
-    stop_after_saturation: int,
-    workers: int,
-    threads: int,
-    on_point: Optional[PointCallback] = None,
-) -> None:
-    """Batched scheduler: one packed kernel call per chunk of rates.
-
-    The unit of pool work is a whole sweep (its chunks must run in
-    cutoff order), so processes parallelise across specs while kernel
-    threads parallelise lanes within each chunk.  Cache writes stay in
-    the parent, as in the per-point schedulers.  ``on_point`` fires in
-    the parent: per chunk on the inline path, per completed sweep on
-    the pooled path (the callback is not picklable in general, so it
-    never crosses into a worker).
-    """
-    incomplete = [
-        si
-        for si, spec in enumerate(specs)
-        if not cutoff_walk(
-            len(spec.rates), have[si], stop_after_saturation
-        )[0]
-    ]
-    if workers > 1 and len(incomplete) > 1:
-        ctx = _pool_context()
-        max_crashes = 1 + _point_retries()
-        crashes: Dict[int, int] = {}
-        todo = list(incomplete)
-        solo = False  # after a crash, re-run suspects one at a time
-
-        def record_sweep(si: int, new: Dict[int, SimResult]) -> None:
-            if new:
-                _M_POINTS.inc(len(new), source="fresh")
-            for ri in sorted(new):
-                res = new[ri]
-                have[si][ri] = res
-                _store(cache, specs[si], specs[si].rates[ri], res)
-                if on_point is not None:
-                    on_point(si, ri, specs[si].rates[ri], res, "fresh")
-
-        while todo:
-            batch_now = todo[:1] if solo else list(todo)
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(batch_now)),
-                    mp_context=ctx,
-                ) as pool:
-                    futures = {
-                        pool.submit(
-                            _sweep_batch_task,
-                            (
-                                si,
-                                specs[si],
-                                have[si],
-                                stop_after_saturation,
-                                threads,
-                            ),
-                        ): si
-                        for si in batch_now
-                    }
-                    for future in as_completed(futures):
-                        si, new = future.result()
-                        record_sweep(si, new)
-                        todo.remove(si)
-            except BrokenProcessPool:
-                _M_CRASHES.inc()
-                lost = [si for si in batch_now if si in todo]
-                if len(lost) == 1:
-                    si = lost[0]
-                    crashes[si] = crashes.get(si, 0) + 1
-                    if crashes[si] >= max_crashes:
-                        raise PointFailure(
-                            f"sweep {specs[si].describe()} crashed "
-                            f"its worker process {crashes[si]} "
-                            "time(s); giving up on this sweep (other "
-                            "sweeps completed normally)"
-                        ) from None
-                solo = True
-                logger.warning(
-                    "engine pool crashed (worker died); re-running "
-                    "%d lost sweep(s) one at a time",
-                    len(lost),
-                )
-    else:
-        for si in incomplete:
-
-            def _chunk_point(ri, rate, res, si=si):
-                have[si][ri] = res
-                _M_POINTS.inc(source="fresh")
-                _store(cache, specs[si], rate, res)
-                if on_point is not None:
-                    on_point(si, ri, rate, res, "fresh")
-
-            _sweep_batch(
-                specs[si],
-                have[si],
-                stop_after_saturation,
-                threads,
-                on_point=_chunk_point,
             )
 
 
@@ -915,12 +743,13 @@ def spec_saturation(
     max_iter: int = 12,
     cache: Optional[ResultCache] = None,
 ) -> float:
-    """Bisect a spec's saturation rate (engine twin of
-    :func:`repro.network.sweep.find_saturation`).
+    """Bisect a spec's saturation rate (flits/cycle/chip): the highest
+    probed rate that is *not* saturated, within ``tol``.
 
-    Probes reuse the worker-local system and, when a ``cache`` is given,
-    are persisted like any other point, so repeated searches converge
-    from cached probes.
+    Returns ``0.0`` when ``lo`` already saturates and ``hi`` when even
+    ``hi`` does not.  Probes reuse the worker-local system and, when a
+    ``cache`` is given, are persisted like any other point, so repeated
+    searches converge from cached probes.
     """
 
     def probe(rate: float) -> bool:

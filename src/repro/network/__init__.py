@@ -18,8 +18,6 @@ from .sweep import (
     LoadSweep,
     assemble_sweep,
     cutoff_walk,
-    find_saturation,
-    sweep_rates,
 )
 
 __all__ = [
@@ -44,6 +42,4 @@ __all__ = [
     "LoadSweep",
     "assemble_sweep",
     "cutoff_walk",
-    "find_saturation",
-    "sweep_rates",
 ]

@@ -1,13 +1,15 @@
-"""Injection-rate sweeps: the latency-vs-load curves of Figs. 10-14."""
+"""Injection-rate sweeps: the latency-vs-load curves of Figs. 10-14.
+
+The curves themselves are run by :func:`repro.engine.run_experiments`
+(and saturation is bisected by :func:`repro.engine.spec_saturation`);
+this module holds the sweep result type and the cutoff walk they share.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..topology.graph import NetworkGraph
-from .params import SimParams
-from .simulator import Simulator
 from .stats import SimResult
 
 __all__ = [
@@ -15,8 +17,6 @@ __all__ = [
     "LoadSweep",
     "assemble_sweep",
     "cutoff_walk",
-    "find_saturation",
-    "sweep_rates",
 ]
 
 #: stable schema tag for serialised sweeps (see SIMRESULT_SCHEMA).
@@ -140,70 +140,3 @@ def assemble_sweep(
         results=[results[ri] for ri in range(n)],
     )
 
-
-def sweep_rates(
-    graph: NetworkGraph,
-    routing,
-    traffic,
-    rates: Sequence[float],
-    params: Optional[SimParams] = None,
-    *,
-    label: str = "",
-    stop_after_saturation: int = 1,
-) -> LoadSweep:
-    """Simulate each offered rate with a fresh simulator instance.
-
-    This is the in-process primitive under :func:`repro.engine.
-    run_experiments`, which adds spec-based reconstruction, process
-    parallelism and caching on top of the same cutoff semantics.
-    """
-    params = params or SimParams()
-    rates = list(rates)
-    results: dict = {}
-    while True:
-        complete, ri = cutoff_walk(
-            len(rates), results, stop_after_saturation
-        )
-        if complete:
-            break
-        sim = Simulator(graph, routing, traffic, params)
-        results[ri] = sim.run(rates[ri])
-    return assemble_sweep(label, rates, results, stop_after_saturation)
-
-
-def find_saturation(
-    graph_factory: Callable[[], Tuple[NetworkGraph, object, object]],
-    *,
-    params: Optional[SimParams] = None,
-    lo: float = 0.05,
-    hi: float = 4.0,
-    tol: float = 0.05,
-    max_iter: int = 12,
-) -> float:
-    """Bisect for the saturation injection rate (flits/cycle/chip).
-
-    ``graph_factory`` returns a fresh ``(graph, routing, traffic)`` triple
-    per probe so simulator state never leaks between probes.  Returns the
-    highest rate that is *not* saturated, within ``tol``.
-    """
-    params = params or SimParams()
-
-    def probe(rate: float) -> bool:
-        graph, routing, traffic = graph_factory()
-        res = Simulator(graph, routing, traffic, params).run(rate)
-        return res.saturated
-
-    if probe(lo):
-        return 0.0
-    if not probe(hi):
-        return hi
-    good, bad = lo, hi
-    for _ in range(max_iter):
-        if bad - good <= tol:
-            break
-        mid = 0.5 * (good + bad)
-        if probe(mid):
-            bad = mid
-        else:
-            good = mid
-    return good

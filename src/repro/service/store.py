@@ -107,7 +107,9 @@ class SingleFlight:
                     os.O_CREAT | os.O_EXCL | os.O_WRONLY,
                 )
             except FileExistsError:
-                if not self._steal_if_stale(key):
+                # retry once the lock is gone: stolen, or released by
+                # its holder since the create failed
+                if not self._steal_if_stale(key) and self.locked(key):
                     return False
                 continue
             with os.fdopen(fd, "w") as fh:
@@ -133,12 +135,16 @@ class SingleFlight:
         return self._lock_path(key).exists()
 
     def _steal_if_stale(self, key: str) -> bool:
-        """Remove the lock if its holder is dead or too old."""
+        """Remove the lock if its holder is dead or too old.
+
+        Returns whether *this call* removed it: a lock that is already
+        gone was released by its holder, which is not a steal.
+        """
         path = self._lock_path(key)
         try:
             age = time.time() - path.stat().st_mtime
         except OSError:
-            return True  # already gone
+            return False  # already gone: released, not stolen
         pid = self.holder(key)
         if pid is None:
             # unreadable/empty lock: orphaned by a crash mid-create —
@@ -469,24 +475,31 @@ class SingleFlightCache:
         if res is not None:
             return res
         sf = self.store.single_flight
-        if sf.try_acquire(key):
-            self._owned.add(key)
-            return None
-        timeout = self.hold_wait if self._owned else self.wait_timeout
-        with obs_trace.span(
-            "store.singleflight_wait", key=key[:16]
-        ) as sp:
-            released = sf.wait(key, timeout)
-            sp.set(released=released)
-        if released:
+        if not sf.try_acquire(key):
+            timeout = self.hold_wait if self._owned else self.wait_timeout
+            with obs_trace.span(
+                "store.singleflight_wait", key=key[:16]
+            ) as sp:
+                released = sf.wait(key, timeout)
+                sp.set(released=released)
+            if released:
+                res = self.store.get(key)
+                if res is not None:
+                    return res
+            # holder died, timed out, or published nothing: compute
+            # locally
+            if not sf.try_acquire(key):
+                self.fallbacks += 1
+                return None
+        # the previous holder may have published and released between
+        # the miss above and the acquire: read again before computing
+        # (a membership test first, so a true miss is counted once)
+        if key in self.store:
             res = self.store.get(key)
             if res is not None:
+                sf.release(key)
                 return res
-        # holder died, timed out, or published nothing: compute locally
-        if sf.try_acquire(key):
-            self._owned.add(key)
-        else:
-            self.fallbacks += 1
+        self._owned.add(key)
         return None
 
     def put(

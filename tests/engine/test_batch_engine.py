@@ -1,9 +1,10 @@
-"""Engine batched fast path: parity with the per-point schedulers.
+"""Engine packed lanes: parity with one-point-at-a-time simulation.
 
-``run_experiments(batch=True)`` must be a pure performance feature:
-identical sweeps, identical per-point seeds, interchangeable cache
-entries, and the same saturation-cutoff semantics as the serial and
-parallel per-point paths.
+On a native-core session ``run_experiments`` packs each open-loop
+sweep's missing rates into batched kernel calls.  That must be a pure
+performance feature: identical sweeps, identical per-point seeds,
+cache entries interchangeable with a reference-core session's, and the
+same saturation-cutoff semantics, inline or on a process pool.
 """
 
 import os
@@ -50,93 +51,159 @@ def sweeps_equal(a, b):
             )
 
 
+@pytest.fixture()
+def reference_run(monkeypatch):
+    """``run_experiments`` on a reference-core session: one
+    ``simulate_point`` per lane, no packed kernel."""
+
+    def run(specs, **kw):
+        with monkeypatch.context() as m:
+            m.setenv("REPRO_SIM_CORE", "reference")
+            return run_experiments(specs, **kw)
+
+    return run
+
+
+@pytest.fixture()
+def pool_cpus(monkeypatch):
+    """A real two-worker pool even on a small host: four CPUs reported
+    and one kernel thread per packed lane chunk."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+
+
+@pytest.fixture()
+def tasks(monkeypatch):
+    """Record every inline task as ``(label, rate indices, threads)``."""
+    seen = []
+    run_task = ex._run_task
+
+    def spy(spec, ris, threads):
+        seen.append((spec.label, ris, threads))
+        return run_task(spec, ris, threads)
+
+    monkeypatch.setattr(ex, "_run_task", spy)
+    return seen
+
+
 @needs_native
 class TestBatchedSweepParity:
-    def test_batched_equals_per_point(self, tmp_path):
+    @pytest.fixture(autouse=True)
+    def native_session(self, monkeypatch):
+        """Packed lanes even on a ``REPRO_SIM_CORE=reference`` run."""
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+
+    def test_batched_equals_per_point(self, tmp_path, reference_run):
         specs = [
             mesh_spec([0.1, 0.2, 0.3], label="a"),
             mesh_spec([0.1, 0.25], label="b", traffic="bit_reverse"),
         ]
         c_b = ResultCache(tmp_path / "batched")
-        c_p = ResultCache(tmp_path / "perpoint")
-        sw_b = run_experiments(specs, cache=c_b, batch=True, workers=1)
-        sw_p = run_experiments(specs, cache=c_p, batch=False, workers=1)
-        for b, p in zip(sw_b, sw_p):
-            sweeps_equal(b, p)
+        c_r = ResultCache(tmp_path / "reference")
+        sw_b = run_experiments(specs, cache=c_b, workers=1)
+        sw_r = reference_run(specs, cache=c_r, workers=1)
+        for spec, b, r in zip(specs, sw_b, sw_r):
+            sweeps_equal(b, r)
+            for rate, res in zip(b.rates, b.results):
+                assert (
+                    res.to_dict() == simulate_point(spec, rate).to_dict()
+                )
 
     def test_per_point_seeds_unchanged(self):
         """Every batched point is simulate_point's exact result — the
         lane seed is the same point_seed-derived value."""
         spec = mesh_spec([0.15, 0.3])
-        sw = run_experiments([spec], batch=True, workers=1)[0]
+        sw = run_experiments([spec], workers=1)[0]
         for rate, res in zip(sw.rates, sw.results):
             assert res.to_dict() == simulate_point(spec, rate).to_dict()
 
-    def test_cache_entries_interchangeable(self, tmp_path):
-        """A cache written by the batched path replays into a
-        batch=False run untouched, and vice versa."""
+    def test_cache_entries_interchangeable(
+        self, tmp_path, reference_run, tasks
+    ):
+        """A cache written by packed lanes replays into a reference-core
+        run untouched, and vice versa."""
         spec = mesh_spec([0.1, 0.2])
         cache = ResultCache(tmp_path / "cache")
-        sw_b = run_experiments([spec], cache=cache, batch=True, workers=1)
-        sw_r = run_experiments([spec], cache=cache, batch=False, workers=1)
+        sw_b = run_experiments([spec], cache=cache, workers=1)
+        sw_r = reference_run([spec], cache=cache, workers=1)
         sweeps_equal(sw_b[0], sw_r[0])
-        # the replay run simulated nothing: every point was a cache hit
-        sw_b2 = run_experiments([spec], cache=cache, batch=True, workers=1)
-        sweeps_equal(sw_b[0], sw_b2[0])
+        assert len(tasks) == 1  # the replay run simulated nothing
 
-    def test_probed_batched_sweep(self):
+        other = ResultCache(tmp_path / "other")
+        sw_r2 = reference_run([spec], cache=other, workers=1)
+        sw_b2 = run_experiments([spec], cache=other, workers=1)
+        sweeps_equal(sw_b[0], sw_b2[0])
+        sweeps_equal(sw_r2[0], sw_b2[0])
+        assert len(tasks) == 3  # two reference lanes, then pure replay
+
+    def test_probed_batched_sweep(self, reference_run):
         spec = mesh_spec(
             [0.1, 0.2], metrics=["link_util", "latency_hist"]
         )
-        sw_b = run_experiments([spec], batch=True, workers=1)[0]
-        sw_p = run_experiments([spec], batch=False, workers=1)[0]
+        sw_b = run_experiments([spec], workers=1)[0]
+        sw_r = reference_run([spec], workers=1)[0]
         assert sw_b.results[0].channels
-        sweeps_equal(sw_b, sw_p)
+        sweeps_equal(sw_b, sw_r)
 
-    def test_saturation_cutoff_short_circuits(self, tmp_path):
+    def test_saturation_cutoff_short_circuits(
+        self, tmp_path, reference_run
+    ):
         """Rates far past saturation must not all be simulated: the
         chunked walk re-checks the cutoff between batch dispatches, so
         at most one speculative chunk runs past it."""
         rates = [0.05, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]
         spec = mesh_spec(rates, label="cutoff")
         cache = ResultCache(tmp_path / "cutoff")
-        sw = run_experiments(
-            [spec], cache=cache, batch=True, workers=1
-        )[0]
+        sw = run_experiments([spec], cache=cache, workers=1)[0]
         simulated = sum(
             1 for r in rates if cache.get(point_key(spec, r)) is not None
         )
         assert simulated < len(rates)
         assert len(sw.rates) < len(rates)
-        # the assembled sweep matches the per-point walk exactly
-        sw_p = run_experiments([spec], batch=False, workers=1)[0]
-        sweeps_equal(sw, sw_p)
+        # the assembled sweep matches the one-point-at-a-time walk
+        sw_r = reference_run([spec], workers=1)[0]
+        sweeps_equal(sw, sw_r)
 
-    def test_pool_branch_matches_inline(self, tmp_path):
-        """_run_batched over a pool (workers > 1, several specs) and
-        inline produce the same points and cache writes."""
+    def test_pool_branch_matches_inline(self, tmp_path, pool_cpus):
+        """Packed sweeps over a two-worker pool and inline produce the
+        same points and cache writes."""
         specs = [
             mesh_spec([0.1, 0.2], label="p1"),
             mesh_spec([0.1, 0.2], label="p2", traffic="bit_shuffle"),
         ]
         c_pool = ResultCache(tmp_path / "pool")
         c_inline = ResultCache(tmp_path / "inline")
-        have_pool = [{}, {}]
-        have_inline = [{}, {}]
-        ex._run_batched(specs, have_pool, c_pool, 1, workers=2, threads=1)
-        ex._run_batched(
-            specs, have_inline, c_inline, 1, workers=1, threads=1
-        )
-        for hp, hi in zip(have_pool, have_inline):
-            assert set(hp) == set(hi)
-            for ri in hp:
-                assert hp[ri].to_dict() == hi[ri].to_dict()
+        sw_pool = run_experiments(specs, cache=c_pool, workers=2)
+        sw_inline = run_experiments(specs, cache=c_inline, workers=1)
+        for p, i in zip(sw_pool, sw_inline):
+            sweeps_equal(p, i)
         for spec in specs:
             for rate in spec.rates:
                 key = point_key(spec, rate)
                 assert (
                     c_pool.get(key).to_dict() == c_inline.get(key).to_dict()
                 )
+
+    def test_mixed_study_pool_matches_inline(self, tmp_path, pool_cpus):
+        """A closed-loop spec next to an open-loop one: the pool runs
+        both lane kinds side by side and matches the inline run."""
+        specs = [
+            mesh_spec([0.1, 0.2], label="open"),
+            mesh_spec(
+                [0.5, 1.0],
+                label="ring",
+                workload="ring_allreduce",
+                workload_opts={"volume": 32},
+            ),
+        ]
+        c_pool = ResultCache(tmp_path / "pool")
+        c_inline = ResultCache(tmp_path / "inline")
+        sw_pool = run_experiments(specs, cache=c_pool, workers=2)
+        sw_inline = run_experiments(specs, cache=c_inline, workers=1)
+        for p, i in zip(sw_pool, sw_inline):
+            assert p.results
+            sweeps_equal(p, i)
+        assert len(c_pool) == len(c_inline) == 4
 
 
 class TestWorkerThreadBudget:
@@ -163,26 +230,41 @@ class TestWorkerThreadBudget:
 
 
 class TestBatchEnable:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-        assert ex._batch_enabled(True) is True
-        monkeypatch.delenv("REPRO_SIM_CORE")
-        assert ex._batch_enabled(False) is False
+    """The lane kind follows from the session, with no user option."""
 
-    def test_non_native_core_disables_auto(self, monkeypatch):
+    def test_non_native_core_disables_auto(self, monkeypatch, tasks):
         monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-        assert ex._batch_enabled(None) is False
+        run_experiments([mesh_spec([0.1, 0.2])], workers=1)
+        assert tasks == [("mesh", (0,), 0), ("mesh", (1,), 0)]
 
     @needs_native
-    def test_auto_on_with_native(self, monkeypatch):
+    def test_auto_on_with_native(self, monkeypatch, tasks):
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-        assert ex._batch_enabled(None) is True
+        monkeypatch.setenv(ex.THREADS_ENV, "2")
+        run_experiments([mesh_spec([0.1, 0.2, 0.3])], workers=1)
+        assert tasks == [("mesh", (0, 1, 2), 2)]
 
-    def test_forced_batch_works_on_reference_core(self, monkeypatch):
-        """batch=True on a non-native session uses the serial fallback
-        of run_batch — same results, no packed kernel."""
-        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-        spec = mesh_spec([0.1, 0.2])
-        sw_b = run_experiments([spec], batch=True, workers=1)[0]
-        sw_p = run_experiments([spec], batch=False, workers=1)[0]
-        sweeps_equal(sw_b, sw_p)
+    @needs_native
+    def test_closed_loop_runs_one_lane_per_task(self, monkeypatch, tasks):
+        """A study with a closed-loop spec gives its open-loop sweeps
+        single-threaded packed chunks and the workload one lane per
+        task."""
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.setenv(ex.THREADS_ENV, "4")
+        run_experiments(
+            [
+                mesh_spec([0.1, 0.2], label="open"),
+                mesh_spec(
+                    [0.5, 1.0],
+                    label="ring",
+                    workload="ring_allreduce",
+                    workload_opts={"volume": 32},
+                ),
+            ],
+            workers=1,
+        )
+        assert tasks == [
+            ("open", (0, 1), 1),
+            ("ring", (0,), 0),
+            ("ring", (1,), 0),
+        ]

@@ -1,6 +1,8 @@
 """Engine crash containment: a dead worker process fails only the
-points it was carrying — retried under probation, then blamed as a
-poison point — never the whole run."""
+tasks it was carrying — retried under probation, then blamed as a
+poison point or chunk — never the whole run.  Per-point cases run on a
+reference-core session (one lane per task); batched cases pack native
+lane chunks."""
 
 import os
 
@@ -64,6 +66,14 @@ def pool_cpus(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_THREADS", "1")
 
 
+@pytest.fixture()
+def per_point(monkeypatch):
+    """A reference-core session: every task is one lane, as for
+    closed-loop specs and compiler-less hosts."""
+    monkeypatch.setenv("REPRO_SIM_CORE", "reference")
+
+
+@pytest.mark.usefixtures("per_point")
 class TestParallelCrashContainment:
     def test_single_worker_crash_is_contained(
         self, tmp_path, arm_chaos, pool_cpus
@@ -71,10 +81,10 @@ class TestParallelCrashContainment:
         """One worker SIGKILLs itself mid-point; the run completes and
         every point is bit-identical to the crash-free baseline."""
         spec = mesh_spec([0.1, 0.2, 0.3, 0.4])
-        [baseline] = run_experiments([spec], workers=1, batch=False)
+        [baseline] = run_experiments([spec], workers=1)
 
         arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")
-        [survived] = run_experiments([spec], workers=2, batch=False)
+        [survived] = run_experiments([spec], workers=2)
         sweeps_equal(survived, baseline)
 
     def test_poison_point_blamed_not_the_run(
@@ -88,7 +98,7 @@ class TestParallelCrashContainment:
         cache = ResultCache(tmp_path / "cache")
         with pytest.raises(PointFailure, match="crashed its worker"):
             run_experiments(
-                [spec], workers=2, batch=False, cache=cache
+                [spec], workers=2, cache=cache
             )
         assert len(cache) == 2  # 0.1 and 0.2 landed before the blame
 
@@ -98,10 +108,10 @@ class TestParallelCrashContainment:
         """A raising (not crashing) point is retried inside the worker
         via the per-point retry budget."""
         spec = mesh_spec([0.1, 0.2])
-        [baseline] = run_experiments([spec], workers=1, batch=False)
+        [baseline] = run_experiments([spec], workers=1)
 
         arm_chaos(f"fail-point:once={tmp_path}/fail.marker")
-        [survived] = run_experiments([spec], workers=1, batch=False)
+        [survived] = run_experiments([spec], workers=1)
         sweeps_equal(survived, baseline)
 
     def test_retry_budget_exhaustion_propagates(
@@ -114,11 +124,23 @@ class TestParallelCrashContainment:
         spec = mesh_spec([0.1])
         arm_chaos("fail-point:match=m@0.1")
         with pytest.raises(ChaosError):
-            run_experiments([spec], workers=1, batch=False)
+            run_experiments([spec], workers=1)
 
 
 @needs_native
 class TestBatchedCrashContainment:
+    def test_transient_chunk_error_retried(self, tmp_path, arm_chaos):
+        """The retry budget covers packed chunks too: with default
+        arguments on a native session, an injected point failure is
+        retried and the sweep matches the clean run bit for bit."""
+        spec = mesh_spec([0.1, 0.2])
+        [baseline] = run_experiments([spec], workers=1)
+
+        arm_chaos(f"fail-point:once={tmp_path}/fail.marker")
+        [survived] = run_experiments([spec], workers=1)
+        sweeps_equal(survived, baseline)
+        assert os.path.exists(f"{tmp_path}/fail.marker")
+
     def test_sweep_crash_retried_solo(self, tmp_path, arm_chaos, pool_cpus):
         """Batched pooled path: a worker crash re-runs the lost sweeps
         one at a time; results stay bit-identical to the baseline."""
@@ -126,10 +148,10 @@ class TestBatchedCrashContainment:
             mesh_spec([0.1, 0.2], label="a"),
             mesh_spec([0.1, 0.2], label="b", traffic="bit_reverse"),
         ]
-        baseline = run_experiments(specs, workers=1, batch=True)
+        baseline = run_experiments(specs, workers=1)
 
         arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")
-        survived = run_experiments(specs, workers=2, batch=True)
+        survived = run_experiments(specs, workers=2)
         for s, b in zip(survived, baseline):
             sweeps_equal(s, b)
 
@@ -141,5 +163,5 @@ class TestBatchedCrashContainment:
         arm_chaos("crash-worker:match=b@")
         cache = ResultCache(tmp_path / "cache")
         with pytest.raises(PointFailure, match="crashed its worker"):
-            run_experiments(specs, workers=2, batch=True, cache=cache)
+            run_experiments(specs, workers=2, cache=cache)
         assert len(cache) == 1  # sweep 'a' completed and landed

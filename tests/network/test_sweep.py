@@ -1,77 +1,68 @@
-"""Load sweeps and saturation search."""
+"""Load sweeps and saturation search through the engine."""
 
-from repro.network import SimParams, find_saturation, sweep_rates
-from repro.topology.graph import NetworkGraph
-from repro.traffic import UniformTraffic
-
-
-def tiny_net():
-    g = NetworkGraph("pair")
-    g.add_node("core", chip=0)
-    g.add_node("core", chip=1)
-    g.add_channel(0, 1, latency=1, klass="sr")
-
-    class R:
-        num_vcs = 1
-
-        def route(self, src, dst, rng):
-            return [(g.link_between(src, dst), 0)]
-
-    return g, R(), UniformTraffic(g)
-
+from repro.engine import ExperimentSpec, run_experiments, spec_saturation
+from repro.network import LoadSweep, SimParams
 
 PARAMS = SimParams(
     warmup_cycles=200, measure_cycles=2500, drain_cycles=400, seed=1
 )
 
 
+def tiny_spec(rates=(), label="pair"):
+    """2x2 mesh of single-node chips under uniform traffic."""
+    return ExperimentSpec.create(
+        topology="mesh",
+        topology_opts={"dim": 2},
+        routing="xy_mesh",
+        traffic="uniform",
+        params=PARAMS,
+        rates=rates,
+        label=label,
+    )
+
+
+def sweep(rates, label="pair", **kw):
+    return run_experiments([tiny_spec(rates, label)], workers=1, **kw)[0]
+
+
 def test_sweep_collects_results():
-    g, r, t = tiny_net()
-    sweep = sweep_rates(g, r, t, [0.1, 0.3, 0.5], PARAMS, label="pair")
-    assert sweep.rates == [0.1, 0.3, 0.5]
-    assert len(sweep.results) == 3
-    assert sweep.label == "pair"
+    out = sweep([0.1, 0.3, 0.5])
+    assert out.rates == [0.1, 0.3, 0.5]
+    assert len(out.results) == 3
+    assert out.label == "pair"
 
 
 def test_sweep_stops_after_saturation():
-    g, r, t = tiny_net()
-    # a 2-node pair saturates near 1.0 flits/cycle/chip
-    sweep = sweep_rates(
-        g, r, t, [0.5, 2.0, 2.5, 3.0], PARAMS, stop_after_saturation=1
-    )
-    assert len(sweep.results) < 4
-    assert sweep.saturation_rate <= 2.0
+    # the 2x2 mesh saturates near 1.1 flits/cycle/chip
+    out = sweep([0.5, 2.0, 2.5, 3.0], stop_after_saturation=1)
+    assert len(out.results) < 4
+    assert out.saturation_rate <= 2.0
 
 
 def test_zero_load_latency_and_rows():
-    g, r, t = tiny_net()
-    sweep = sweep_rates(g, r, t, [0.1], PARAMS)
-    assert sweep.zero_load_latency() > 0
-    rows = sweep.rows()
+    out = sweep([0.1])
+    assert out.zero_load_latency() > 0
+    rows = out.rows()
     assert len(rows) == 1 and len(rows[0]) == 3
-    table = sweep.format_table()
+    table = out.format_table()
     assert "offered" in table
 
 
 def test_find_saturation_brackets_link_capacity():
-    sat = find_saturation(
-        tiny_net, params=PARAMS, lo=0.1, hi=3.0, tol=0.2, max_iter=8
+    sat = spec_saturation(
+        tiny_spec(), lo=0.1, hi=3.0, tol=0.2, max_iter=8
     )
-    # each chip's single duplex link supports ~1 flit/cycle/chip minus
-    # protocol losses
+    # each chip's links support ~1 flit/cycle/chip minus protocol losses
     assert 0.5 < sat < 1.6
 
 
 def test_loadsweep_dict_round_trip():
-    g, r, t = tiny_net()
-    sweep = sweep_rates(g, r, t, [0.1, 0.3], PARAMS, label="pair")
-    data = sweep.to_dict()
+    out = sweep([0.1, 0.3])
+    data = out.to_dict()
     assert data["schema"] == "repro.load-sweep/v1"
-    from repro.network import LoadSweep
-
     clone = LoadSweep.from_dict(data)
-    assert clone.label == sweep.label
-    assert clone.rates == sweep.rates
+    assert clone.label == out.label
+    assert clone.rates == out.rates
     assert [res.to_dict() for res in clone.results] == [
-        res.to_dict() for res in sweep.results
+        res.to_dict() for res in out.results
     ]

@@ -1,23 +1,35 @@
-"""find_saturation bisection and LoadSweep properties on a tiny mesh."""
+"""Saturation bisection, cutoffs and LoadSweep properties on a tiny mesh."""
 
 import math
 
 import pytest
 
-from repro.network import LoadSweep, SimParams, SimResult, find_saturation, sweep_rates
-from repro.routing import XYMeshRouting
-from repro.topology.mesh import MeshSpec, build_mesh
-from repro.traffic import UniformTraffic
+from repro.engine import ExperimentSpec, run_experiments, spec_saturation
+from repro.network import LoadSweep, SimParams, SimResult
 
 PARAMS = SimParams(
     warmup_cycles=300, measure_cycles=2500, drain_cycles=400, seed=9
 )
 
 
-def tiny_mesh():
+def tiny_mesh(rates=()):
     """2x2 mesh of single-node chips: saturates near 1.1 flits/cyc/chip."""
-    block = build_mesh(MeshSpec(dim=2))
-    return block.graph, XYMeshRouting(block), UniformTraffic(block.graph)
+    return ExperimentSpec.create(
+        topology="mesh",
+        topology_opts={"dim": 2},
+        routing="xy_mesh",
+        traffic="uniform",
+        params=PARAMS,
+        rates=rates,
+    )
+
+
+def engine_sweep(rates, stop_after_saturation):
+    return run_experiments(
+        [tiny_mesh(rates)],
+        workers=1,
+        stop_after_saturation=stop_after_saturation,
+    )[0]
 
 
 def fake_result(rate: float, saturated: bool) -> SimResult:
@@ -88,56 +100,47 @@ class TestStopAfterSaturation:
     RATES = [0.3, 0.8, 1.5, 2.5, 3.5]
 
     def test_cutoff_after_first_saturated_point(self):
-        g, r, t = tiny_mesh()
-        sweep = sweep_rates(
-            g, r, t, self.RATES, PARAMS, stop_after_saturation=1
-        )
+        sweep = engine_sweep(self.RATES, stop_after_saturation=1)
         assert sweep.rates == self.RATES[: len(sweep.rates)]
         assert len(sweep.rates) < len(self.RATES)
         assert sweep.results[-1].saturated
         assert not any(res.saturated for res in sweep.results[:-1])
 
     def test_higher_cutoff_extends_the_sweep(self):
-        g, r, t = tiny_mesh()
-        one = sweep_rates(
-            g, r, t, self.RATES, PARAMS, stop_after_saturation=1
-        )
-        g, r, t = tiny_mesh()
-        two = sweep_rates(
-            g, r, t, self.RATES, PARAMS, stop_after_saturation=2
-        )
+        one = engine_sweep(self.RATES, stop_after_saturation=1)
+        two = engine_sweep(self.RATES, stop_after_saturation=2)
         assert len(two.rates) == len(one.rates) + 1
         assert sum(res.saturated for res in two.results) == 2
-        # the shared prefix is identical (same params, same seeds)
+        # the shared prefix is identical (same spec, same point seeds)
         assert two.results[: len(one.results)] == one.results
 
 
 class TestFindSaturation:
     def test_bisection_brackets_mesh_capacity(self):
-        sat = find_saturation(
-            tiny_mesh, params=PARAMS, lo=0.2, hi=3.5, tol=0.3, max_iter=8
+        sat = spec_saturation(
+            tiny_mesh(), lo=0.2, hi=3.5, tol=0.3, max_iter=8
         )
         # the 2x2 mesh under uniform traffic saturates near 1.1
         assert 0.6 < sat < 1.6
 
     def test_saturated_floor_returns_zero(self):
         assert (
-            find_saturation(tiny_mesh, params=PARAMS, lo=2.5, hi=3.5)
+            spec_saturation(tiny_mesh(), lo=2.5, hi=3.5)
             == 0.0
         )
 
     def test_unsaturated_ceiling_returns_hi(self):
         assert (
-            find_saturation(tiny_mesh, params=PARAMS, lo=0.2, hi=0.8)
+            spec_saturation(tiny_mesh(), lo=0.2, hi=0.8)
             == 0.8
         )
 
     def test_tolerance_is_respected(self):
-        coarse = find_saturation(
-            tiny_mesh, params=PARAMS, lo=0.2, hi=3.5, tol=1.5, max_iter=12
+        coarse = spec_saturation(
+            tiny_mesh(), lo=0.2, hi=3.5, tol=1.5, max_iter=12
         )
-        fine = find_saturation(
-            tiny_mesh, params=PARAMS, lo=0.2, hi=3.5, tol=0.2, max_iter=12
+        fine = spec_saturation(
+            tiny_mesh(), lo=0.2, hi=3.5, tol=0.2, max_iter=12
         )
         # both are "highest non-saturated probe"; the fine search can
         # only move the answer up within the coarse bracket

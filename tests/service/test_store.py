@@ -237,6 +237,47 @@ class TestSingleFlightCache:
         assert got == _result()
         assert waiter.computed == 0
 
+    def test_publish_during_acquire_is_read_not_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        """A owns the key; B misses, and while ``sf-delay`` holds up
+        B's acquire, A publishes and releases.  B's acquire then
+        succeeds, but B must return A's result, not own the key."""
+        from types import SimpleNamespace
+
+        from repro.service import chaos
+        from repro.service import store as store_mod
+
+        a = SingleFlightCache(ResultStore(tmp_path))
+        b = SingleFlightCache(ResultStore(tmp_path))
+        assert a.get("k") is None  # A owns the key
+        delays = []
+
+        def sleep(seconds):
+            # the delay window: A's put lands here, deterministically
+            delays.append(seconds)
+            a.put("k", _result())
+
+        monkeypatch.setattr(
+            store_mod,
+            "time",
+            SimpleNamespace(
+                time=time.time, monotonic=time.monotonic, sleep=sleep
+            ),
+        )
+        monkeypatch.setenv("REPRO_CHAOS", "sf-delay:times=1")
+        chaos.reset()
+        try:
+            got = b.get("k")
+        finally:
+            monkeypatch.delenv("REPRO_CHAOS")
+            chaos.reset()
+        assert len(delays) == 1
+        assert got == _result()
+        assert not b.store.single_flight.locked("k")  # B owns nothing
+        b.close()
+        assert b.computed == 0 and a.computed == 1
+
 
 class TestRestartHygiene:
     """SingleFlight.clear(): a restarting server removes only *dead*
